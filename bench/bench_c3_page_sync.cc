@@ -8,7 +8,18 @@
 //
 // Measured: time to drain all dirty pages (checkpoint latency), flush
 // deferrals, and trailer bytes per flush, for each strategy.
+//
+// Also the DC miss-path stages on their own: the page CRC every store
+// read and write pays (BM_Crc32cPage), and a buffer-pool miss that reads
+// a page and evicts a clean victim past resident dirty frames
+// (BM_PoolMissEvict).
+#include <vector>
+
 #include "bench_util.h"
+#include "common/crc32c.h"
+#include "dc/buffer_pool.h"
+#include "dc/dc_log.h"
+#include "storage/stable_store.h"
 
 namespace untx {
 namespace bench {
@@ -90,6 +101,83 @@ BENCHMARK(BM_WriteWhileFlushing)
     ->Arg(2)
     ->Arg(3)
     ->UseRealTime();
+
+// CRC32C over one default-size page. Arg 0: the portable byte-at-a-time
+// kernel; arg 1: Extend(), the hardware kernel where the host has one
+// (the `accelerated` counter says whether it did).
+void BM_Crc32cPage(benchmark::State& state) {
+  const bool accelerated = state.range(0) == 1;
+  std::vector<char> page(kDefaultPageSize);
+  for (size_t i = 0; i < page.size(); ++i) {
+    page[i] = static_cast<char>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    const uint32_t crc =
+        accelerated ? crc32c::Extend(0, page.data(), page.size())
+                    : crc32c::ExtendPortable(0, page.data(), page.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(page.size()));
+  state.counters["accelerated"] =
+      accelerated && crc32c::IsAccelerated() ? 1 : 0;
+}
+BENCHMARK(BM_Crc32cPage)->Arg(0)->Arg(1);
+
+// One buffer-pool miss: Fetch of an uncached page (store read + CRC
+// verify) on a full 256-frame pool that also holds 150 dirty frames, so
+// every miss evicts one clean victim; then Unpin.
+void BM_PoolMissEvict(benchmark::State& state) {
+  constexpr size_t kCapacity = 256;
+  constexpr size_t kDirty = 150;
+  constexpr size_t kCleanPages = 4 * kCapacity;
+  StableStore store;
+  DcLog dc_log;
+  BufferPoolOptions options;
+  options.capacity = kCapacity;
+  BufferPool pool(&store, &dc_log, options);
+
+  std::vector<char> image(store.page_size());
+  std::vector<PageId> clean;
+  for (size_t i = 0; i < kCleanPages; ++i) {
+    const PageId pid = store.Allocate();
+    SlottedPage page(image.data(), store.page_size(),
+                     store.trailer_capacity());
+    page.Init(pid, PageType::kLeaf, 0, 1);
+    if (!store.Write(pid, image.data()).ok()) {
+      state.SkipWithError("store write failed");
+      return;
+    }
+    clean.push_back(pid);
+  }
+  // Dirty frames: their ops never reach a stable TC log, so they stay.
+  for (size_t i = 0; i < kDirty; ++i) {
+    Frame* frame = pool.Create(store.Allocate());
+    frame->ablsn.Add(1, 1 + i);
+    pool.Unpin(frame);
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    Frame* frame = nullptr;
+    if (!pool.Fetch(clean[next], &frame).ok()) {
+      state.SkipWithError("fetch failed");
+      return;
+    }
+    pool.Unpin(frame);
+    next = (next + 1) % clean.size();
+  }
+  const BufferPoolStats& stats = pool.stats();
+  state.counters["hit_ratio"] =
+      stats.fetches == 0 ? 0
+                         : static_cast<double>(stats.hits) /
+                               static_cast<double>(stats.fetches);
+  state.counters["evictions/fetch"] =
+      stats.fetches == 0 ? 0
+                         : static_cast<double>(stats.evictions) /
+                               static_cast<double>(stats.fetches);
+  state.counters["dirty_frames"] = static_cast<double>(pool.DirtyCount());
+}
+BENCHMARK(BM_PoolMissEvict);
 
 }  // namespace
 }  // namespace bench

@@ -1,5 +1,6 @@
-// Shared helpers for the experiment benches (see DESIGN.md §3 and
-// EXPERIMENTS.md for the experiment index).
+// Shared helpers for the experiment benches. Each bench file's header
+// comment names its experiment (C1–C10, F1–F2) and the paper section it
+// measures.
 #pragma once
 
 #include <benchmark/benchmark.h>

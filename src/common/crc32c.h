@@ -1,5 +1,9 @@
-// Software CRC32C (Castagnoli). Guards page images and log records so
-// torn or corrupted simulated-storage reads are detected.
+// CRC32C (Castagnoli). Guards page images, log records and wire frames so
+// torn or corrupted reads are detected. Every stable-store page read and
+// write checksums a full page, so this sits on the DC's cache-miss path:
+// on x86-64 hosts with SSE4.2 the `crc32` instruction does the work,
+// elsewhere a portable byte-at-a-time table kernel. Both produce the same
+// values.
 #pragma once
 
 #include <cstddef>
@@ -8,8 +12,16 @@
 namespace untx {
 namespace crc32c {
 
-/// CRC of data[0, n); seed with a previous Value() call to chain.
+/// CRC of data[0, n); seed with a previous Value() call to chain. Uses
+/// the fastest kernel the host supports, chosen once on first use.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The portable table kernel, regardless of the host. Exposed so
+/// tests and benches can cross-check and compare it with Extend().
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+/// True when Extend() runs on a hardware CRC32C instruction.
+bool IsAccelerated();
 
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }
 

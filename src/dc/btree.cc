@@ -811,10 +811,7 @@ Status BTree::ReplayStableSmoBatches() {
             }
             frame->latch.UnlockExclusive();
             pool_->Unpin(frame);
-            if (stale) {
-              pool_->Drop(rec.pid);
-              store_->Free(rec.pid);
-            }
+            if (stale) pool_->FreePage(rec.pid, rec.dlsn);
           }
           break;
         }

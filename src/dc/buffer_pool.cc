@@ -17,8 +17,7 @@ Status BufferPool::Fetch(PageId pid, Frame** out) {
     if (it != frames_.end()) {
       ++stats_.hits;
       Frame* frame = it->second.get();
-      ++frame->pins;
-      frame->last_use = ++use_clock_;
+      PinLocked(frame, /*touch=*/true);
       *out = frame;
       return Status::OK();
     }
@@ -33,8 +32,7 @@ Status BufferPool::Fetch(PageId pid, Frame** out) {
   auto it = frames_.find(pid);
   if (it != frames_.end()) {
     Frame* frame = it->second.get();
-    ++frame->pins;
-    frame->last_use = ++use_clock_;
+    PinLocked(frame, /*touch=*/true);
     *out = frame;
     return Status::OK();
   }
@@ -50,9 +48,8 @@ Status BufferPool::Fetch(PageId pid, Frame** out) {
       frame->ablsn = std::move(ab);
     }
   }
-  frame->pins = 1;
-  frame->last_use = ++use_clock_;
   Frame* raw = frame.get();
+  PinLocked(raw, /*touch=*/true);
   frames_[pid] = std::move(frame);
   MaybeEvictLocked();
   *out = raw;
@@ -65,40 +62,124 @@ Frame* BufferPool::Create(PageId pid) {
   frame->pid = pid;
   frame->data.assign(store_->page_size(), 0);
   frame->dirty = true;
-  frame->pins = 1;
-  frame->last_use = ++use_clock_;
   Frame* raw = frame.get();
-  frames_[pid] = std::move(frame);
+  PinLocked(raw, /*touch=*/true);
+  // A recycled pid may still have a stale clean frame cached; it must not
+  // be pinned (FreePage frees a pid only once its frame is gone).
+  auto it = frames_.find(pid);
+  if (it != frames_.end()) {
+    assert(it->second->pins == 0);
+    UnlinkCleanLocked(it->second.get());
+    it->second = std::move(frame);
+  } else {
+    frames_.emplace(pid, std::move(frame));
+  }
   MaybeEvictLocked();
   return raw;
+}
+
+void BufferPool::PinLocked(Frame* frame, bool touch) {
+  if (frame->pins++ == 0) UnlinkCleanLocked(frame);
+  if (touch) frame->last_use = ++use_clock_;
 }
 
 void BufferPool::Unpin(Frame* frame) {
   std::lock_guard<std::mutex> guard(mu_);
   assert(frame->pins > 0);
-  --frame->pins;
+  if (--frame->pins > 0) return;
+  if (!frame->dirty) LinkCleanLocked(frame);
+  if (unpin_waiters_ > 0) unpin_cv_.notify_all();
 }
 
-bool BufferPool::Drop(PageId pid) {
-  std::lock_guard<std::mutex> guard(mu_);
+void BufferPool::LinkCleanLocked(Frame* frame) {
+  assert(!frame->on_clean_list);
+  // Keep last_use order. A frame unpinned right after its use belongs at
+  // the hot end, so the walk is O(1) unless a pool-internal pin (which
+  // does not touch) flushed a frame that was last used long ago.
+  Frame* prev = clean_tail_;
+  while (prev != nullptr && prev->last_use > frame->last_use) {
+    prev = prev->clean_prev;
+  }
+  Frame* next = prev != nullptr ? prev->clean_next : clean_head_;
+  frame->clean_prev = prev;
+  frame->clean_next = next;
+  (prev != nullptr ? prev->clean_next : clean_head_) = frame;
+  (next != nullptr ? next->clean_prev : clean_tail_) = frame;
+  frame->on_clean_list = true;
+}
+
+void BufferPool::UnlinkCleanLocked(Frame* frame) {
+  if (!frame->on_clean_list) return;
+  Frame* prev = frame->clean_prev;
+  Frame* next = frame->clean_next;
+  (prev != nullptr ? prev->clean_next : clean_head_) = next;
+  (next != nullptr ? next->clean_prev : clean_tail_) = prev;
+  frame->clean_prev = frame->clean_next = nullptr;
+  frame->on_clean_list = false;
+}
+
+bool BufferPool::DropLocked(PageId pid) {
   auto it = frames_.find(pid);
   if (it == frames_.end()) return true;
   if (it->second->pins != 0) return false;
+  UnlinkCleanLocked(it->second.get());
   frames_.erase(it);
   return true;
 }
 
+Status BufferPool::Drop(PageId pid, uint32_t timeout_ms) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (DropLocked(pid)) return Status::OK();
+  ++unpin_waiters_;
+  const bool dropped =
+      unpin_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                         [this, pid] { return DropLocked(pid); });
+  --unpin_waiters_;
+  if (dropped) return Status::OK();
+  return Status::TimedOut("page " + std::to_string(pid) +
+                          " stayed pinned past the drop deadline");
+}
+
+void BufferPool::FreePageLocked(PageId pid, DLsn dlsn) {
+  if (DropLocked(pid)) {
+    store_->Free(pid);
+  } else {
+    pending_free_.emplace_back(pid, dlsn);
+  }
+}
+
+void BufferPool::FreePage(PageId pid, DLsn dlsn) {
+  std::lock_guard<std::mutex> guard(mu_);
+  FreePageLocked(pid, dlsn);
+}
+
+DLsn BufferPool::OldestPendingFreeDlsn() const {
+  std::lock_guard<std::mutex> guard(mu_);
+  DLsn oldest = kInvalidDLsn;
+  for (const auto& [pid, dlsn] : pending_free_) {
+    if (oldest == kInvalidDLsn || dlsn < oldest) oldest = dlsn;
+  }
+  return oldest;
+}
+
 void BufferPool::ForceDcLog() {
+  // Every batch this call forces starts at or after the stable end read
+  // here, so it bounds the dLSN of each free the force releases.
+  const DLsn forced_from = dc_log_->stable_dlsn_end();
   std::vector<PageId> freed;
   dc_log_->ForceEligible(eosl_map(), &freed);
-  for (PageId pid : freed) {
-    Drop(pid);
-    store_->Free(pid);
-  }
+  std::lock_guard<std::mutex> guard(mu_);
+  std::vector<std::pair<PageId, DLsn>> retry;
+  retry.swap(pending_free_);
+  for (const auto& [pid, dlsn] : retry) FreePageLocked(pid, dlsn);
+  for (PageId pid : freed) FreePageLocked(pid, forced_from);
 }
 
 Status BufferPool::TryFlushLocked(Frame* frame) {
   if (!frame->dirty) return Status::OK();
+  if (frame->reset_stale) {
+    return Status::Busy("page awaits a TC reset's drop");
+  }
   SlottedPage page = frame->Page(page_size(), trailer_capacity());
 
   // Gate (1): WAL for the DC log.
@@ -184,7 +265,10 @@ size_t BufferPool::FlushAllEligible() {
       auto it = frames_.find(pid);
       if (it == frames_.end()) continue;
       frame = it->second.get();
-      ++frame->pins;
+      // On the clean list means clean and unpinned: nothing to flush,
+      // and a pin would only churn the list.
+      if (frame->on_clean_list) continue;
+      PinLocked(frame, /*touch=*/false);
     }
     {
       ExclusiveLatchGuard latch(&frame->latch);
@@ -226,7 +310,7 @@ void BufferPool::OnLowWaterMark(TcId tc, Lsn lwm) {
       if (it == frames_.end()) continue;
       frame = it->second.get();
       if (!frame->flush_waiting) continue;
-      ++frame->pins;
+      PinLocked(frame, /*touch=*/false);
     }
     if (frame->latch.TryLockExclusive()) {
       frame->ablsn.AdvanceTo(tc, lwm);
@@ -294,6 +378,10 @@ void BufferPool::Clear() {
   for (const auto& [pid, frame] : frames_) assert(frame->pins == 0);
 #endif
   frames_.clear();
+  clean_head_ = clean_tail_ = nullptr;
+  // Volatile, like the cache. DC-log replay re-executes these frees: a DC
+  // checkpoint keeps their batches (OldestPendingFreeDlsn).
+  pending_free_.clear();
   eosl_.clear();
   lwm_.clear();
   // Crash-revert: every TC must re-arm its LWM after redo resend.
@@ -345,17 +433,11 @@ size_t BufferPool::DirtyCount() const {
 
 void BufferPool::MaybeEvictLocked() {
   if (frames_.size() <= options_.capacity) return;
-  // Victim: the least-recently-used unpinned clean frame.
-  Frame* victim = nullptr;
-  for (auto& [pid, frame] : frames_) {
-    if (frame->pins == 0 && !frame->dirty &&
-        (victim == nullptr || frame->last_use < victim->last_use)) {
-      victim = frame.get();
-    }
-  }
-  if (victim != nullptr) {
+  // Victim: the least-recently-used unpinned clean frame, i.e. the cold
+  // end of the clean list.
+  if (clean_head_ != nullptr) {
     ++stats_.evictions;
-    frames_.erase(victim->pid);
+    DropLocked(clean_head_->pid);
     return;
   }
   // All candidates dirty or pinned: record the overflow; a later

@@ -50,7 +50,8 @@ struct BufferPoolOptions {
 };
 
 /// One cached page. Content (data/ablsn/dirty/rec fields) is guarded by
-/// `latch`; pins and recency are guarded by the pool mutex.
+/// `latch`; pins, recency and the clean-list links are guarded by the
+/// pool mutex. `dirty` may change only while the frame is pinned.
 struct Frame {
   PageId pid = kInvalidPageId;
   std::vector<char> data;
@@ -68,10 +69,18 @@ struct Frame {
   /// Set (under the exclusive latch) when an SMO merged this page away.
   /// Anyone who latches the frame afterwards must release and re-descend.
   bool retired = false;
+  /// Set (under the exclusive latch) on a frame a TC reset must drop. If
+  /// a reader holds it past the reset's deadline it stays cached until
+  /// the next reset drops it, and must never be flushed meanwhile.
+  bool reset_stale = false;
 
   // Pool-mutex-guarded bookkeeping.
   int pins = 0;
   uint64_t last_use = 0;
+  /// Links in the pool's clean-victim list (see BufferPool).
+  Frame* clean_prev = nullptr;
+  Frame* clean_next = nullptr;
+  bool on_clean_list = false;
 
   SlottedPage Page(uint32_t page_size, uint32_t trailer_capacity) {
     return SlottedPage(data.data(), page_size, trailer_capacity);
@@ -106,13 +115,27 @@ class BufferPool {
 
   void Unpin(Frame* frame);
 
-  /// Removes the frame without flushing. Returns false if the frame is
-  /// still pinned (a retired frame may linger until its pins drain; it is
-  /// unreachable once the parent pointer is gone). No-op => true.
-  bool Drop(PageId pid);
+  /// Removes the frame without flushing, waiting up to `timeout_ms` for
+  /// its pins to drain. OK when the page is (now) not cached; TimedOut
+  /// when a pin outlives the deadline, and the frame stays cached.
+  Status Drop(PageId pid, uint32_t timeout_ms);
+
+  /// Drops `pid`'s frame and frees its store page (a deferred SMO free
+  /// whose DC-log batch starts at or after `dlsn`). A retired frame may
+  /// still be pinned by a reader that reached it before the parent
+  /// pointer went away; then both steps wait for a later ForceDcLog, so
+  /// the store never recycles a pid whose frame is still cached.
+  void FreePage(PageId pid, DLsn dlsn);
+
+  /// Lowest dLSN a pending free needs kept in the DC log (kInvalidDLsn
+  /// if none). A pending free is volatile: after a crash only DC-log
+  /// replay re-executes it, so a DC checkpoint must not truncate its
+  /// batch away.
+  DLsn OldestPendingFreeDlsn() const;
 
   /// Forces eligible DC-log batches and executes their deferred page
-  /// frees against the store (consolidation, §5.2.2 "Page Deletes").
+  /// frees against the store (consolidation, §5.2.2 "Page Deletes"),
+  /// retrying frees an earlier call had to keep pending.
   void ForceDcLog();
 
   /// Attempts to flush one frame; the caller must hold its exclusive
@@ -127,12 +150,12 @@ class BufferPool {
   void OnEndOfStableLog(TcId tc, Lsn eosl);
   void OnLowWaterMark(TcId tc, Lsn lwm);
 
-  /// LWM validity protocol (derived; see DESIGN.md §4.4): after any DC
-  /// state regression (crash-revert or TC-reset), a TC's low-water mark
-  /// describes executions whose page effects may have been discarded, so
-  /// folding it into abLSNs would wrongly mark un-reapplied operations
-  /// as covered. The DC ignores a TC's LWM until that TC re-arms it with
-  /// restart-end after completing its redo resend.
+  /// LWM validity protocol (a rule derived here, not stated in the
+  /// paper): after any DC state regression (crash-revert or TC-reset), a
+  /// TC's low-water mark describes executions whose page effects may have
+  /// been discarded, so folding it into abLSNs would wrongly mark
+  /// un-reapplied operations as covered. The DC ignores a TC's LWM until
+  /// that TC re-arms it with restart-end after completing its redo resend.
   void AllowLwm(TcId tc);
   void DisallowLwm(TcId tc);
   bool LwmAllowed(TcId tc) const;
@@ -178,6 +201,17 @@ class BufferPool {
  private:
   /// Must hold mu_. Evicts one victim if over capacity.
   void MaybeEvictLocked();
+  /// Must hold mu_. Every pin goes through here: the 0->1 transition
+  /// takes the frame off the clean list. `touch` marks a use for LRU; a
+  /// pool-internal pin (flush, LWM fold) does not count as one.
+  void PinLocked(Frame* frame, bool touch);
+  /// Must hold mu_. Links a clean, unpinned frame in last_use order.
+  void LinkCleanLocked(Frame* frame);
+  void UnlinkCleanLocked(Frame* frame);
+  /// Must hold mu_. Drops pid's frame unless pinned; true if not cached.
+  bool DropLocked(PageId pid);
+  /// Must hold mu_. Drops and frees pid, or queues it on pending_free_.
+  void FreePageLocked(PageId pid, DLsn dlsn);
 
   StableStore* store_;
   DcLog* dc_log_;
@@ -190,6 +224,19 @@ class BufferPool {
   std::map<TcId, Lsn> lwm_;
   std::set<TcId> lwm_allowed_;
   uint64_t use_clock_ = 0;
+  // The clean-victim list: exactly the frames with pins == 0 && !dirty,
+  // coldest (least recently used) first, so eviction is O(1). Because
+  // `dirty` changes only under a pin, testing it at the unpin that drops
+  // the last pin keeps the list exact.
+  Frame* clean_head_ = nullptr;
+  Frame* clean_tail_ = nullptr;
+  // Drop() callers waiting for a pin to drain; Unpin signals unpin_cv_
+  // only when this is non-zero.
+  int unpin_waiters_ = 0;
+  std::condition_variable unpin_cv_;
+  // Freed pids whose frame was still pinned, each with the dLSN its DC-log
+  // batch starts at or after (see FreePage).
+  std::vector<std::pair<PageId, DLsn>> pending_free_;
   BufferPoolStats stats_;
 };
 

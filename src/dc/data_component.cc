@@ -14,6 +14,10 @@ namespace untx {
 
 namespace {
 
+/// How long a TC reset waits for a racing reader to unpin a page it must
+/// drop. Past it the reset fails rather than leave the stale page cached.
+constexpr uint32_t kResetDropTimeoutMs = 100;
+
 /// Recovery-path tracing (chaos-test forensics): set UNTX_TRACE=1.
 bool TraceEnabled() {
   static const bool enabled = getenv("UNTX_TRACE") != nullptr;
@@ -77,6 +81,14 @@ Status DataComponent::Recover() {
   return btree_->ReplayStableSmoBatches();
 }
 
+void DataComponent::EndActiveOp() {
+  if (active_ops_.fetch_sub(1) != 1) return;
+  // Notify under quiesce_mu_: a Crash() that has just seen a non-zero
+  // count but not yet blocked would otherwise miss this wakeup for good.
+  std::lock_guard<std::mutex> guard(quiesce_mu_);
+  quiesce_cv_.notify_all();
+}
+
 void DataComponent::Crash() {
   crashed_.store(true);
   // Wait for in-flight operations to drain; their volatile effects are
@@ -84,6 +96,11 @@ void DataComponent::Crash() {
   std::unique_lock<std::mutex> lock(quiesce_mu_);
   quiesce_cv_.wait(lock, [this] { return active_ops_.load() == 0; });
   pool_->Clear();
+  {
+    // The cache they were stale in is gone.
+    std::lock_guard<std::mutex> guard(reset_mu_);
+    reset_undropped_.clear();
+  }
   dc_log_->Crash();
   if (redo_log_) {
     redo_log_->Crash();
@@ -135,9 +152,7 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
   active_ops_.fetch_add(1);
   struct OpGuard {
     DataComponent* dc;
-    ~OpGuard() {
-      if (dc->active_ops_.fetch_sub(1) == 1) dc->quiesce_cv_.notify_all();
-    }
+    ~OpGuard() { dc->EndActiveOp(); }
   } guard{this};
 
   stats_.ops.fetch_add(1);
@@ -874,9 +889,7 @@ void DataComponent::ProduceScanChunks(
   active_ops_.fetch_add(1);
   struct OpGuard {
     DataComponent* dc;
-    ~OpGuard() {
-      if (dc->active_ops_.fetch_sub(1) == 1) dc->quiesce_cv_.notify_all();
-    }
+    ~OpGuard() { dc->EndActiveOp(); }
   } guard{this};
 
   cursor->last_active_ms.store(SteadyNowMs());
@@ -1225,6 +1238,10 @@ Status DataComponent::DoDcCheckpoint() {
     }
     pool_->Unpin(frame);
   }
+  const DLsn pending_free = pool_->OldestPendingFreeDlsn();
+  if (pending_free != kInvalidDLsn && pending_free < min_rec) {
+    min_rec = pending_free;
+  }
   dc_log_->TruncateBelow(min_rec);
   // Checkpoint marker: advisory for local recovery (EOSL-ineligible
   // pages may hold back ops <= W, so replay still starts at rlsn 1 and
@@ -1242,6 +1259,28 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
   // operations beyond the failed TC's stable log; on shared pages, reset
   // only the failed TC's records.
   std::vector<TcId> escalate_set;
+  // Pages a reader held past the drop deadline: they stay cached, marked
+  // reset_stale (never flushed), and the next reset drops them first.
+  std::vector<PageId> undropped;
+  auto drop = [&](PageId pid) {
+    if (pool_->Drop(pid, kResetDropTimeoutMs).ok()) return true;
+    undropped.push_back(pid);
+    return false;
+  };
+  // Reverts pid to its stable version by dropping the cached frame; every
+  // other TC with effects on it must resend them (escalation).
+  auto revert_page = [&](PageId pid) {
+    Frame* frame = nullptr;
+    if (!pool_->Fetch(pid, &frame).ok()) return;
+    frame->latch.LockExclusive();
+    for (const auto& [other_tc, ab] : frame->ablsn.entries()) {
+      if (other_tc != tc) escalate_set.push_back(other_tc);
+    }
+    frame->reset_stale = true;
+    frame->latch.UnlockExclusive();
+    pool_->Unpin(frame);
+    if (drop(pid)) stats_.pages_reset_dropped.fetch_add(1);
+  };
 
   // Pre-pass: settle the DC log. Batches whose causality floors are met
   // become stable (their structure survives the reset via replay); the
@@ -1251,26 +1290,25 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
   // must resend from their RSSP (escalation).
   pool_->ForceDcLog();
   pool_->DisallowLwm(tc);  // re-armed by the TC's restart-end
+  {
+    // Only a reset that drops them can repair pages an earlier reset had
+    // to leave cached: their discarded batches are gone from the DC log.
+    std::set<PageId> carried;
+    {
+      std::lock_guard<std::mutex> guard(reset_mu_);
+      carried.swap(reset_undropped_);
+    }
+    for (PageId pid : pool_->CachedPages()) {
+      if (carried.count(pid) > 0) revert_page(pid);
+    }
+  }
   const std::vector<DcLog::PendingBatchInfo> discarded =
       dc_log_->DiscardPending();
   for (const auto& batch : discarded) {
     for (const auto& [other_tc, floor_lsn] : batch.floor) {
       if (other_tc != tc) escalate_set.push_back(other_tc);
     }
-    for (PageId pid : batch.pids) {
-      Frame* frame = nullptr;
-      if (!pool_->Fetch(pid, &frame).ok()) continue;
-      frame->latch.LockExclusive();
-      for (const auto& [other_tc, ab] : frame->ablsn.entries()) {
-        if (other_tc != tc) escalate_set.push_back(other_tc);
-      }
-      frame->latch.UnlockExclusive();
-      pool_->Unpin(frame);
-      for (int i = 0; i < 1000 && !pool_->Drop(pid); ++i) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
-      stats_.pages_reset_dropped.fetch_add(1);
-    }
+    for (PageId pid : batch.pids) revert_page(pid);
   }
   for (PageId pid : pool_->CachedPages()) {
     Frame* frame = nullptr;
@@ -1288,11 +1326,9 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
               (unsigned long long)stable_end,
               (size_t)frame->ablsn.TcCount());
     }
-    bool drop = false;
-    if (frame->ablsn.TcCount() <= 1) {
-      drop = true;
-      stats_.pages_reset_dropped.fetch_add(1);
-    } else {
+    const bool single_tc = frame->ablsn.TcCount() <= 1;
+    bool drop_frame = single_tc;
+    if (!single_tc) {
       // Multi-TC page: try the per-record merge against the stable
       // version; fall back to dropping + escalation.
       std::vector<char> stable(store_->page_size());
@@ -1311,26 +1347,24 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
         if (TraceEnabled()) fprintf(stderr, "[dc] RESET-MERGED pid=%u\n", pid);
         stats_.pages_reset_merged.fetch_add(1);
       } else {
-        drop = true;
+        drop_frame = true;
         stats_.reset_escalations.fetch_add(1);
         for (const auto& [other_tc, ab] : frame->ablsn.entries()) {
           if (other_tc != tc) escalate_set.push_back(other_tc);
         }
       }
     }
+    if (drop_frame) frame->reset_stale = true;
     frame->latch.UnlockExclusive();
     pool_->Unpin(frame);
-    if (drop) {
-      // The frame may be briefly pinned by a racing read; retry.
-      for (int i = 0; i < 1000 && !pool_->Drop(pid); ++i) {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-      }
+    // The frame may be briefly pinned by a racing read.
+    if (drop_frame && drop(pid) && single_tc) {
+      stats_.pages_reset_dropped.fetch_add(1);
     }
   }
   // Evicted structure pages whose SMOs are on the stable DC log must be
   // brought back before the TC resends (§5.2.2 ordering).
   Status s = btree_->ReplayStableSmoBatches();
-  if (!s.ok()) return s;
 
   std::sort(escalate_set.begin(), escalate_set.end());
   escalate_set.erase(std::unique(escalate_set.begin(), escalate_set.end()),
@@ -1340,6 +1374,7 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
   // TC's reply cache (its log tail is gone) and, for every escalated TC,
   // both the reply cache and the LWM (their page effects were dropped —
   // stale replies or LWM folding would silently skip their resends).
+  // This runs even when the reset fails: the pages it did drop are gone.
   {
     std::lock_guard<std::mutex> guard(reply_mu_);
     reply_cache_.erase(tc);
@@ -1354,7 +1389,18 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
     for (TcId victim : escalate_set) redo_fresh_max_.erase(victim);
   }
   *escalate = std::move(escalate_set);
-  return Status::OK();
+  if (!undropped.empty()) {
+    {
+      std::lock_guard<std::mutex> guard(reset_mu_);
+      reset_undropped_.insert(undropped.begin(), undropped.end());
+    }
+    // A stale page left cached would defeat the reset, so this is an
+    // error the TC sees, never a silent fall-through.
+    return Status::TimedOut(std::to_string(undropped.size()) +
+                            " page(s) stayed pinned past the reset "
+                            "deadline; a retried reset drops them");
+  }
+  return s;
 }
 
 bool DataComponent::MergeResetLocked(Frame* frame, TcId tc,
@@ -1693,6 +1739,10 @@ Status DataComponent::ReplicaResetByReplay() {
   }
   pool_->Clear();
   dc_log_->Clear();
+  {
+    std::lock_guard<std::mutex> guard(reset_mu_);
+    reset_undropped_.clear();
+  }
   {
     std::lock_guard<std::mutex> guard(reply_mu_);
     reply_cache_.clear();

@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -306,6 +307,10 @@ class DataComponent : public DcService {
 
   Status DoTcCheckpoint(TcId tc, Lsn new_rssp);
   Status DoDcCheckpoint();
+  /// TC-crash reset (§5.3.2). Fills `escalate` even when it fails. A
+  /// page a reader holds past the drop deadline makes it return TimedOut
+  /// with that page still cached; everything else is done, and a retried
+  /// reset drops the page (escalating the TCs with effects on it then).
   Status DoReset(TcId tc, Lsn stable_end, std::vector<TcId>* escalate);
 
   /// Per-record reset of a multi-TC page against its stable version
@@ -339,8 +344,16 @@ class DataComponent : public DcService {
   /// the full redo-resend instead of trusting a stale prefix.
   std::atomic<bool> redo_state_current_{true};
 
+  /// Ends an operation counted in active_ops_; wakes a draining Crash().
+  void EndActiveOp();
+
   std::atomic<bool> crashed_{false};
   std::atomic<int> active_ops_{0};
+  /// Pages a failed TC reset left cached (see DoReset); the next reset
+  /// drops them first.
+  std::mutex reset_mu_;
+  std::set<PageId> reset_undropped_;
+
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
 

@@ -14,11 +14,11 @@
 //    whose abLSN is the max/union of the two pages' abLSNs, plus a
 //    logical free record for the deleted page.
 //
-// Causality floor (derived rule; see DESIGN.md §4.3): a physical image
-// embeds TC operation effects. The batch may be FORCED to stable storage
-// only once the TC stable log covers every such operation (per-TC floor
-// <= EOSL). Otherwise a later TC crash could resurrect operations the TC
-// lost — violating the causality contract of §4.2.
+// Causality floor (a rule derived here, not stated in the paper): a
+// physical image embeds TC operation effects. The batch may be FORCED to
+// stable storage only once the TC stable log covers every such operation
+// (per-TC floor <= EOSL). Otherwise a later TC crash could resurrect
+// operations the TC lost — violating the causality contract of §4.2.
 #pragma once
 
 #include <cstdint>

@@ -474,19 +474,18 @@ Status Cluster::RestartTc(int t) {
   }
   std::vector<TcId> escalate;
   Status s = tcs_[t]->Restart(&escalate);
-  if (!s.ok()) return s;
   // §6.1.2 escalation: the restart's DC resets may have dropped shared
   // pages reflecting OTHER TCs' operations; those TCs repopulate from
-  // their own logs.
+  // their own logs. A failed restart reports the pages it did drop too.
   for (TcId victim : escalate) {
     for (auto& tc : tcs_) {
       if (tc->id() == victim && tc.get() != tcs_[t].get()) {
         Status rs = tc->ResendFromRssp();
-        if (!rs.ok()) return rs;
+        if (!rs.ok() && s.ok()) s = rs;
       }
     }
   }
-  return Status::OK();
+  return s;
 }
 
 Status Cluster::CrashAndRestartTc(int t) {

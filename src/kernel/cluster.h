@@ -286,7 +286,8 @@ class Cluster {
   void CrashTc(int t);
   /// Restarts TC t per §5.3.2 "TC Failure", then runs any §6.1.2
   /// escalation: other TCs displaced by the reset resend from their
-  /// RSSPs to repopulate shared pages.
+  /// RSSPs to repopulate shared pages. The escalation runs even when the
+  /// restart fails; the restart may then be retried.
   Status RestartTc(int t);
   Status CrashAndRestartTc(int t);
 

@@ -2,11 +2,12 @@
 // and a DC ("in a cloud environment asynchronous messages might be
 // used", §4.2.1).
 //
-// Substitution note (DESIGN.md §2): stands in for a real datacenter
-// network. Failure modes that matter to the interaction contracts are
-// modeled: per-message random delay (which yields out-of-order delivery),
-// message drop, and message duplication. The TC's resend daemon plus the
-// DC's idempotence turn this lossy channel into exactly-once execution.
+// Substitution note: stands in for a real datacenter network. A stand-in
+// must keep every failure mode the interaction contracts (§4.2) have to
+// survive and may drop the rest, so exactly these are modeled:
+// per-message random delay (which yields out-of-order delivery), message
+// drop, and message duplication. The TC's resend daemon plus the DC's
+// idempotence turn this lossy channel into exactly-once execution.
 #pragma once
 
 #include <chrono>

@@ -82,15 +82,16 @@ void StableStore::Free(PageId pid) {
 }
 
 Status StableStore::Write(PageId pid, const char* data) {
+  // Stamp the CRC before taking mu_: every DC thread shares this mutex.
+  std::string copy(data, options_.page_size);
+  const uint32_t crc = crc32c::Mask(
+      crc32c::Value(copy.data() + 4, options_.page_size - 4));
+  EncodeFixed32(copy.data(), crc);
   std::lock_guard<std::mutex> guard(mu_);
   if (options_.write_fail_prob > 0 &&
       fault_rng_.Bernoulli(options_.write_fail_prob)) {
     return Status::IOError("injected write failure");
   }
-  std::string copy(data, options_.page_size);
-  const uint32_t crc = crc32c::Mask(
-      crc32c::Value(copy.data() + 4, options_.page_size - 4));
-  EncodeFixed32(copy.data(), crc);
   PersistPageLocked(pid, copy.data());
   pages_[pid] = std::move(copy);
   // A freed page that gets rewritten (recycled id) is live again.
@@ -107,20 +108,22 @@ Status StableStore::Write(PageId pid, const char* data) {
 }
 
 Status StableStore::Read(PageId pid, char* out) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  auto it = pages_.find(pid);
-  if (it == pages_.end()) {
-    return Status::NotFound("page not in stable store");
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    auto it = pages_.find(pid);
+    if (it == pages_.end()) {
+      return Status::NotFound("page not in stable store");
+    }
+    memcpy(out, it->second.data(), options_.page_size);
+    ++reads_;
   }
-  const std::string& stored = it->second;
-  const uint32_t expected = crc32c::Unmask(DecodeFixed32(stored.data()));
-  const uint32_t actual =
-      crc32c::Value(stored.data() + 4, options_.page_size - 4);
+  // Verify the caller's private copy outside mu_: it is byte for byte the
+  // stored image, so this is the same check, with the mutex held less.
+  const uint32_t expected = crc32c::Unmask(DecodeFixed32(out));
+  const uint32_t actual = crc32c::Value(out + 4, options_.page_size - 4);
   if (expected != actual) {
     return Status::Corruption("page checksum mismatch");
   }
-  memcpy(out, stored.data(), options_.page_size);
-  ++reads_;
   return Status::OK();
 }
 

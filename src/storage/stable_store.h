@@ -1,12 +1,14 @@
 // StableStore: the simulated durable page device beneath one DC.
 //
-// Substitution note (see DESIGN.md §2): the paper assumes conventional
-// disks. We model a disk as an in-memory page map with write-through
-// durability: a page write is durable once Write() returns. The volatile
-// layer of the system is the DC's buffer pool, not the store, so a DC
-// crash loses cached pages but never store contents — exactly the
-// fail-stop model of §5.3. CRC32C over every page detects corruption, and
-// fault-injection knobs let tests exercise I/O failures and torn writes.
+// Substitution note: the paper assumes conventional disks. A stand-in
+// must keep the failure semantics the recovery protocols rely on and may
+// drop everything else, so we model a disk as an in-memory page map with
+// write-through durability: a page write is durable once Write()
+// returns. The volatile layer of the system is the DC's buffer pool, not
+// the store, so a DC crash loses cached pages but never store contents —
+// exactly the fail-stop model of §5.3. CRC32C over every page detects
+// corruption, and fault-injection knobs let tests exercise I/O failures
+// and torn writes.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +60,8 @@ class StableStore {
   /// Durably writes page_size bytes; stamps the CRC into bytes [0,4).
   Status Write(PageId pid, const char* data);
 
-  /// Reads page_size bytes into out; verifies CRC.
+  /// Reads page_size bytes into out; verifies CRC (Corruption on
+  /// mismatch, with `out` holding the unverified image).
   Status Read(PageId pid, char* out) const;
 
   bool Exists(PageId pid) const;
@@ -71,7 +74,7 @@ class StableStore {
   /// of the primary's redo stream: its own page set may have diverged.
   void Reset();
 
-  // Stats.
+  // Stats. reads() counts every page copied out, verified or not.
   uint64_t reads() const { return reads_; }
   uint64_t writes() const { return writes_; }
   uint64_t allocated_high_water() const;

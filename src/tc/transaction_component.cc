@@ -2092,15 +2092,30 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
   PushControls();
   const Lsn stable_end = log_.stable_end();
   std::vector<TcId> escalate;
+  auto report_escalations = [&escalate, escalate_out] {
+    if (escalate_out == nullptr) return;
+    std::sort(escalate.begin(), escalate.end());
+    escalate.erase(std::unique(escalate.begin(), escalate.end()),
+                   escalate.end());
+    *escalate_out = escalate;
+  };
   for (const auto& binding : dcs_) {
     ControlRequest req;
     req.type = ControlType::kRestartBegin;
     req.tc_id = options_.tc_id;
     req.lsn = stable_end;
     StatusOr<ControlReply> reply = ControlAwait(binding.id, req, 60000);
-    if (!reply.ok()) return reply.status();
-    if (!reply->status.ok()) return reply->status;
+    if (!reply.ok()) {
+      report_escalations();
+      return reply.status();
+    }
     for (TcId tc : reply->escalate_tcs) escalate.push_back(tc);
+    if (!reply->status.ok()) {
+      // A failed reset may still have dropped other TCs' effects: they
+      // must resend whether or not this restart is retried.
+      report_escalations();
+      return reply->status;
+    }
   }
   PushControls();
 
@@ -2155,12 +2170,7 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
   }
   log_.Force();
   PushControls();
-  if (escalate_out != nullptr) {
-    std::sort(escalate.begin(), escalate.end());
-    escalate.erase(std::unique(escalate.begin(), escalate.end()),
-                   escalate.end());
-    *escalate_out = std::move(escalate);
-  }
+  report_escalations();
   return Status::OK();
 }
 

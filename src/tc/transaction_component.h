@@ -292,7 +292,9 @@ class TransactionComponent {
 
   /// TC restart (§5.3.2): reset DCs, redo-resend from RSSP, undo losers.
   /// escalate_out (optional) collects TCs that must also resend due to
-  /// multi-TC page resets (§6.1.2).
+  /// multi-TC page resets (§6.1.2), also when a DC reset fails (e.g. a
+  /// page stayed pinned past its drop deadline); a failed restart may be
+  /// retried.
   Status Restart(std::vector<TcId>* escalate_out = nullptr);
 
   /// A DC went down: hold resends and streamed-scan attempts to it until

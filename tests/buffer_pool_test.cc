@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <thread>
+
 #include "dc/dc_log.h"
 #include "storage/stable_store.h"
 
@@ -35,6 +39,43 @@ class BufferPoolTest : public ::testing::Test {
     return frame;  // still pinned
   }
 
+  /// A pool of `capacity` frames whose TC 1 ops up to 1000 are stable,
+  /// so any page can be flushed clean.
+  std::unique_ptr<BufferPool> MakeSmallPool(size_t capacity) {
+    BufferPoolOptions options;
+    options.capacity = capacity;
+    options.strategy = PageSyncStrategy::kStoreFull;
+    auto pool = std::make_unique<BufferPool>(&store_, &dc_log_, options);
+    pool->OnEndOfStableLog(1, 1000);
+    return pool;
+  }
+
+  /// Creates a page, flushes it clean and returns it still pinned.
+  Frame* MakeCleanPinned(BufferPool* pool, PageId pid) {
+    Frame* frame = MakeDirtyPage(pool, pid, 1, 10);
+    ExclusiveLatchGuard latch(&frame->latch);
+    EXPECT_TRUE(pool->TryFlushLocked(frame).ok());
+    return frame;
+  }
+
+  /// Creates a page, flushes it clean and unpins it.
+  PageId MakeCleanPage(BufferPool* pool) {
+    const PageId pid = store_.Allocate();
+    pool->Unpin(MakeCleanPinned(pool, pid));
+    return pid;
+  }
+
+  static bool Cached(const BufferPool& pool, PageId pid) {
+    const std::vector<PageId> pids = pool.CachedPages();
+    return std::find(pids.begin(), pids.end(), pid) != pids.end();
+  }
+
+  static void Touch(BufferPool* pool, PageId pid) {
+    Frame* frame = nullptr;
+    ASSERT_TRUE(pool->Fetch(pid, &frame).ok());
+    pool->Unpin(frame);
+  }
+
   StableStore store_;
   DcLog dc_log_;
 };
@@ -60,6 +101,21 @@ TEST_F(BufferPoolTest, CausalityGateBlocksUntilEosl) {
   }
   EXPECT_FALSE(frame->dirty);
   EXPECT_TRUE(store_.Exists(pid));
+  pool.Unpin(frame);
+}
+
+TEST_F(BufferPoolTest, ResetStaleFrameIsNeverFlushed) {
+  BufferPool pool = MakePool(PageSyncStrategy::kStoreFull);
+  const PageId pid = store_.Allocate();
+  Frame* frame = MakeDirtyPage(&pool, pid, /*tc=*/1, /*lsn=*/10);
+  pool.OnEndOfStableLog(1, 10);
+  ExclusiveLatchGuard latch(&frame->latch);
+  frame->reset_stale = true;
+  EXPECT_TRUE(pool.TryFlushLocked(frame).IsBusy())
+      << "every gate passes, but a reset still has to drop this image";
+  EXPECT_TRUE(frame->dirty);
+  EXPECT_FALSE(store_.Exists(pid));
+  latch.Release();
   pool.Unpin(frame);
 }
 
@@ -221,6 +277,180 @@ TEST_F(BufferPoolTest, EvictionPrefersCleanLru) {
   Frame* back = nullptr;
   ASSERT_TRUE(pool.Fetch(pids[0], &back).ok());
   pool.Unpin(back);
+}
+
+TEST_F(BufferPoolTest, VictimIsLeastRecentlyUsedCleanUnpinnedFrame) {
+  auto pool = MakeSmallPool(3);
+  const PageId a = MakeCleanPage(pool.get());
+  const PageId b = MakeCleanPage(pool.get());
+  const PageId c = MakeCleanPage(pool.get());
+  Touch(pool.get(), a);  // recency now b < c < a
+  const PageId d = MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, b)) << "b was the least recently used";
+  EXPECT_TRUE(Cached(*pool, a));
+  EXPECT_TRUE(Cached(*pool, c));
+  EXPECT_TRUE(Cached(*pool, d));
+  MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, c)) << "then c";
+  EXPECT_TRUE(Cached(*pool, a));
+  EXPECT_EQ(pool->stats().evictions, 2u);
+  EXPECT_EQ(pool->stats().overflows, 0u);
+}
+
+TEST_F(BufferPoolTest, PinnedAndDirtyFramesAreNeverEvicted) {
+  auto pool = MakeSmallPool(2);
+  const PageId pinned = store_.Allocate();
+  Frame* pinned_frame = MakeCleanPinned(pool.get(), pinned);
+  const PageId dirty = store_.Allocate();
+  pool->Unpin(MakeDirtyPage(pool.get(), dirty, 1, 20));  // never flushed
+  // Over capacity with no clean, unpinned frame: overflow, no eviction.
+  const PageId third = MakeCleanPage(pool.get());
+  EXPECT_EQ(pool->stats().evictions, 0u);
+  EXPECT_EQ(pool->stats().overflows, 1u);
+  EXPECT_TRUE(Cached(*pool, pinned));
+  EXPECT_TRUE(Cached(*pool, dirty));
+  // Only the now-clean third page is a candidate.
+  MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, third));
+  EXPECT_TRUE(Cached(*pool, pinned));
+  EXPECT_TRUE(Cached(*pool, dirty));
+  pool->Unpin(pinned_frame);
+}
+
+TEST_F(BufferPoolTest, FrameFlushedWhilePinnedBecomesCandidateAtUnpin) {
+  auto pool = MakeSmallPool(2);
+  const PageId older = store_.Allocate();
+  Frame* frame = MakeDirtyPage(pool.get(), older, 1, 10);
+  const PageId newer = MakeCleanPage(pool.get());
+  {
+    ExclusiveLatchGuard latch(&frame->latch);
+    ASSERT_TRUE(pool->TryFlushLocked(frame).ok());
+  }
+  MakeCleanPage(pool.get());  // evicts `newer`: `older` is still pinned
+  EXPECT_FALSE(Cached(*pool, newer));
+  EXPECT_TRUE(Cached(*pool, older));
+  pool->Unpin(frame);
+  // `older` keeps its place in LRU order: it was used before the page
+  // made above, so it is the next victim.
+  MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, older));
+}
+
+TEST_F(BufferPoolTest, CheckpointFlushMakesDirtyFrameACandidate) {
+  auto pool = MakeSmallPool(2);
+  const PageId dirty = store_.Allocate();
+  pool->Unpin(MakeDirtyPage(pool.get(), dirty, 1, 10));
+  const PageId clean = MakeCleanPage(pool.get());
+  EXPECT_EQ(pool->FlushAllEligible(), 0u);
+  EXPECT_EQ(pool->DirtyCount(), 0u);
+  // The flush's own pin is not a use: `dirty` is still the coldest.
+  MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, dirty));
+  EXPECT_TRUE(Cached(*pool, clean));
+}
+
+TEST_F(BufferPoolTest, DropLeavesNoStaleListEntry) {
+  auto pool = MakeSmallPool(2);
+  const PageId a = MakeCleanPage(pool.get());
+  const PageId b = MakeCleanPage(pool.get());
+  ASSERT_TRUE(pool->Drop(a, 0).ok());
+  EXPECT_FALSE(Cached(*pool, a));
+  EXPECT_TRUE(pool->Drop(a, 0).ok()) << "dropping an uncached page is OK";
+  // Two more pages: the first fits, the second evicts b, never the
+  // already-dropped a.
+  MakeCleanPage(pool.get());
+  MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, b));
+  EXPECT_EQ(pool->FrameCount(), 2u);
+  EXPECT_EQ(pool->stats().evictions, 1u);
+}
+
+TEST_F(BufferPoolTest, ClearLeavesNoStaleListEntry) {
+  auto pool = MakeSmallPool(2);
+  MakeCleanPage(pool.get());
+  MakeCleanPage(pool.get());
+  pool->Clear();
+  pool->OnEndOfStableLog(1, 1000);
+  const PageId a = MakeCleanPage(pool.get());
+  MakeCleanPage(pool.get());
+  MakeCleanPage(pool.get());
+  EXPECT_FALSE(Cached(*pool, a));
+  EXPECT_EQ(pool->FrameCount(), 2u);
+}
+
+TEST_F(BufferPoolTest, CreateOverRecycledPidLeavesNoStaleListEntry) {
+  auto pool = MakeSmallPool(2);
+  const PageId a = MakeCleanPage(pool.get());
+  pool->FreePage(a, /*dlsn=*/1);
+  EXPECT_FALSE(Cached(*pool, a));
+  EXPECT_FALSE(store_.Exists(a));
+  ASSERT_EQ(store_.Allocate(), a) << "the store recycles the freed pid";
+  Frame* fresh = pool->Create(a);
+  EXPECT_TRUE(fresh->dirty);
+  pool->Unpin(fresh);
+  // A clean frame still cached under a pid being re-created is replaced,
+  // and its list entry goes with it.
+  const PageId b = MakeCleanPage(pool.get());
+  Frame* replaced = pool->Create(b);
+  pool->Unpin(replaced);
+  EXPECT_EQ(pool->FrameCount(), 2u);
+  // Both frames are dirty now: a new page overflows instead of evicting
+  // the replaced frame.
+  MakeCleanPage(pool.get());
+  EXPECT_EQ(pool->stats().evictions, 0u);
+  EXPECT_TRUE(Cached(*pool, a));
+  EXPECT_TRUE(Cached(*pool, b));
+}
+
+TEST_F(BufferPoolTest, FreeOfPinnedPageWaitsForUnpin) {
+  auto pool = MakeSmallPool(4);
+  const PageId pid = store_.Allocate();
+  Frame* frame = MakeCleanPinned(pool.get(), pid);
+  EXPECT_EQ(pool->OldestPendingFreeDlsn(), kInvalidDLsn);
+  pool->FreePage(pid, /*dlsn=*/7);
+  EXPECT_TRUE(Cached(*pool, pid)) << "a reader still holds the frame";
+  EXPECT_TRUE(store_.Exists(pid)) << "so the pid must not be recycled yet";
+  EXPECT_NE(store_.Allocate(), pid);
+  EXPECT_EQ(pool->OldestPendingFreeDlsn(), 7u)
+      << "the free's DC-log batch must outlive a checkpoint";
+  pool->ForceDcLog();
+  EXPECT_TRUE(store_.Exists(pid)) << "still pinned: stays pending";
+  EXPECT_EQ(pool->OldestPendingFreeDlsn(), 7u);
+  pool->Unpin(frame);
+  pool->ForceDcLog();
+  EXPECT_FALSE(Cached(*pool, pid));
+  EXPECT_FALSE(store_.Exists(pid));
+  EXPECT_EQ(pool->OldestPendingFreeDlsn(), kInvalidDLsn);
+}
+
+TEST_F(BufferPoolTest, DropOfFramePinnedPastDeadlineFails) {
+  auto pool = MakeSmallPool(4);
+  const PageId pid = store_.Allocate();
+  Frame* frame = MakeCleanPinned(pool.get(), pid);
+  EXPECT_TRUE(pool->Drop(pid, 0).IsTimedOut());
+  Status s = pool->Drop(pid, 20);
+  EXPECT_TRUE(s.IsTimedOut()) << s.ToString();
+  EXPECT_TRUE(Cached(*pool, pid)) << "a failed drop leaves the frame";
+  pool->Unpin(frame);
+  EXPECT_TRUE(pool->Drop(pid, 0).ok());
+  EXPECT_FALSE(Cached(*pool, pid));
+}
+
+TEST_F(BufferPoolTest, DropWaitsForUnpin) {
+  auto pool = MakeSmallPool(4);
+  const PageId pid = store_.Allocate();
+  Frame* frame = MakeCleanPinned(pool.get(), pid);
+  std::thread reader([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    pool->Unpin(frame);
+  });
+  const auto start = std::chrono::steady_clock::now();
+  Status s = pool->Drop(pid, 10000);
+  const auto waited = std::chrono::steady_clock::now() - start;
+  reader.join();
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_LT(waited, std::chrono::seconds(5)) << "woken by the unpin";
+  EXPECT_FALSE(Cached(*pool, pid));
 }
 
 TEST_F(BufferPoolTest, ClearDropsEverything) {

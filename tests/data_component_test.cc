@@ -588,6 +588,147 @@ TEST_F(DataComponentTest, ResetDropsPagesWithLostOps) {
   EXPECT_GT(dc_->stats().pages_reset_dropped.load(), 0u);
 }
 
+TEST_F(DataComponentTest, ResetFailsWhileDroppedPageStaysPinned) {
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, "stable-key", "sv").status.ok());
+  tc_->PushDurability();
+  ASSERT_EQ(dc_->pool()->FlushAllEligible(), 0u);
+  const Lsn stable_end = tc_->last_lsn();
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, "lost-key", "lv").status.ok());
+
+  // A reader holds every cached page, so the reset cannot drop the one
+  // carrying the lost op.
+  std::vector<Frame*> held;
+  for (PageId pid : dc_->pool()->CachedPages()) {
+    Frame* frame = nullptr;
+    ASSERT_TRUE(dc_->pool()->Fetch(pid, &frame).ok());
+    held.push_back(frame);
+  }
+  ControlRequest reset;
+  reset.type = ControlType::kRestartBegin;
+  reset.tc_id = tc_->tc();
+  reset.lsn = stable_end;
+  auto reply = dc_->Control(reset);
+  EXPECT_TRUE(reply.status.IsTimedOut()) << reply.status.ToString();
+  EXPECT_EQ(dc_->stats().pages_reset_dropped.load(), 0u)
+      << "a page still cached is not counted as dropped";
+
+  // Once the reader lets go, the retried reset succeeds.
+  for (Frame* frame : held) dc_->pool()->Unpin(frame);
+  reply = dc_->Control(reset);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_GT(dc_->stats().pages_reset_dropped.load(), 0u);
+  EXPECT_TRUE(tc_->Read("lost-key").status.IsNotFound());
+  EXPECT_EQ(tc_->Read("stable-key").value, "sv");
+}
+
+TEST_F(DataComponentTest, FailedResetOfSharedPagesEscalatesAndRetryRepairs) {
+  MiniTc tc2(dc_.get(), 2);
+  ASSERT_TRUE(tc_->Op(OpType::kInsert, Key(0), "tc1-stable").status.ok());
+  const Lsn tc2_insert = tc2.NextLsn();
+  ASSERT_TRUE(tc2.Resend(OpType::kInsert, tc2_insert, Key(1), "tc2-stable")
+                  .status.ok());
+  tc_->PushDurability();
+  tc2.PushDurability();
+  ASSERT_EQ(dc_->pool()->FlushAllEligible(), 0u);
+  const Lsn tc1_stable_end = tc_->last_lsn();
+  // TC2's update is on its stable log but not yet on the stable page.
+  const Lsn tc2_update = tc2.NextLsn();
+  ASSERT_TRUE(tc2.Resend(OpType::kUpdate, tc2_update, Key(1), "tc2-kept")
+                  .status.ok());
+  tc2.PushDurability();
+  // TC1's lost inserts split the shared page: the SMO batches carry
+  // TC1's lost ops in their floors, so the reset discards them.
+  const uint64_t splits_before = dc_->btree()->stats().splits;
+  for (int i = 2; i < 80; ++i) {
+    ASSERT_TRUE(
+        tc_->Op(OpType::kInsert, Key(i), std::string(24, 'x')).status.ok());
+  }
+  ASSERT_GT(dc_->btree()->stats().splits, splits_before);
+
+  std::vector<Frame*> held;
+  for (PageId pid : dc_->pool()->CachedPages()) {
+    Frame* frame = nullptr;
+    ASSERT_TRUE(dc_->pool()->Fetch(pid, &frame).ok());
+    held.push_back(frame);
+  }
+  ControlRequest reset;
+  reset.type = ControlType::kRestartBegin;
+  reset.tc_id = tc_->tc();
+  reset.lsn = tc1_stable_end;
+  auto reply = dc_->Control(reset);
+  ASSERT_TRUE(reply.status.IsTimedOut()) << reply.status.ToString();
+  EXPECT_EQ(reply.escalate_tcs, std::vector<TcId>{2})
+      << "a failed reset still names the TCs whose effects it drops";
+  // The stale pages stay cached but never reach the store.
+  tc2.PushDurability();
+  dc_->pool()->FlushAllEligible();
+  for (Frame* frame : held) {
+    if (frame->reset_stale) EXPECT_TRUE(frame->dirty) << frame->pid;
+  }
+
+  for (Frame* frame : held) dc_->pool()->Unpin(frame);
+  reply = dc_->Control(reset);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.escalate_tcs, std::vector<TcId>{2})
+      << "the retry drops TC2's effects on the carried pages";
+  for (int i = 2; i < 80; ++i) {
+    EXPECT_TRUE(tc_->Read(Key(i)).status.IsNotFound()) << i;
+  }
+  EXPECT_EQ(tc_->Read(Key(0)).value, "tc1-stable");
+
+  // Escalation: TC2 resends from its RSSP and re-arms.
+  EXPECT_TRUE(tc2.Resend(OpType::kInsert, tc2_insert, Key(1), "tc2-stable")
+                  .status.ok());
+  EXPECT_TRUE(tc2.Resend(OpType::kUpdate, tc2_update, Key(1), "tc2-kept")
+                  .status.ok());
+  tc2.Arm();
+  EXPECT_EQ(tc2.Read(Key(1)).value, "tc2-kept");
+  EXPECT_TRUE(dc_->btree()->CheckInvariants(kTable).ok());
+}
+
+TEST_F(DataComponentTest, PendingFreeSurvivesCheckpointAndCrash) {
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(tc_->Op(OpType::kInsert, Key(i), "vvvvvvvv").status.ok());
+  }
+  tc_->PushDurability();
+  ASSERT_EQ(dc_->pool()->FlushAllEligible(), 0u);
+  // A reader holds every page while deletes consolidate some away.
+  std::vector<Frame*> held;
+  for (PageId pid : dc_->pool()->CachedPages()) {
+    Frame* frame = nullptr;
+    ASSERT_TRUE(dc_->pool()->Fetch(pid, &frame).ok());
+    held.push_back(frame);
+  }
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(tc_->Op(OpType::kDelete, Key(i)).status.ok());
+  }
+  tc_->PushDurability();
+  dc_->pool()->ForceDcLog();
+  std::vector<PageId> retired;
+  for (Frame* frame : held) {
+    if (frame->retired) retired.push_back(frame->pid);
+  }
+  ASSERT_FALSE(retired.empty());
+  const DLsn pending = dc_->pool()->OldestPendingFreeDlsn();
+  ASSERT_NE(pending, kInvalidDLsn) << "pinned frames keep their frees pending";
+  for (PageId pid : retired) EXPECT_TRUE(store_->Exists(pid));
+
+  ControlRequest ckpt;
+  ckpt.type = ControlType::kDcCheckpoint;
+  ASSERT_TRUE(dc_->Control(ckpt).status.ok());
+  EXPECT_LE(dc_->dc_log()->truncated_below(), pending)
+      << "the checkpoint keeps the pending frees' batches";
+
+  // The crash loses the pending list; replay frees the pages instead.
+  for (Frame* frame : held) dc_->pool()->Unpin(frame);
+  dc_->Crash();
+  dc_->Restore();
+  ASSERT_TRUE(dc_->Recover().ok());
+  for (PageId pid : retired) {
+    EXPECT_FALSE(store_->Exists(pid)) << "page " << pid << " leaked";
+  }
+}
+
 TEST_F(DataComponentTest, ResetKeepsPagesWithoutLostOps) {
   ASSERT_TRUE(tc_->Op(OpType::kInsert, "k", "v").status.ok());
   tc_->PushDurability();
