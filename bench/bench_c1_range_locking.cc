@@ -122,22 +122,24 @@ BENCHMARK(BM_WriterUnderScanner)
 
 // ---- Scan-heavy arm over the channel transport (PR 3) -----------------------
 //
-// The unbundling cost is per MESSAGE (§5.1): the blocking protocol pays
-// one ScanRange round trip per window, the streamed protocol pays one
+// The unbundling cost is per MESSAGE (§5.1): a streamed scan pays one
 // kScanStream request per scan with chunked replies, and the fetch-ahead
 // transactional scan prefetches the next probe while the current window
-// is locked and validated. arg0: 1 = streamed/prefetching, 0 = blocking.
+// is locked and validated. arg0 is always 1, so the names still diff
+// against older BENCH files. The retired baselines — blocking per-window
+// scans (the /0 arms of the two benches below) and eager uncredited push
+// (BM_SharedScanCreditWindow/0) — survive only as numbers in
+// BENCH_PR8.json.
 
 constexpr int kChannelRows = 1500;
 
-std::unique_ptr<UnbundledDb> MakeChannelScanDb(bool streaming) {
+std::unique_ptr<UnbundledDb> MakeChannelScanDb() {
   UnbundledDbOptions options = DefaultDbOptions();
   options.transport = TransportKind::kChannel;
   options.channel.request_channel.min_delay_us = 50;
   options.channel.request_channel.max_delay_us = 150;
   options.channel.reply_channel.min_delay_us = 50;
   options.channel.reply_channel.max_delay_us = 150;
-  options.tc.scan_streaming = streaming;
   options.tc.scan_stream_chunk = 64;
   options.tc.fetch_ahead_batch = 32;
   auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
@@ -155,8 +157,7 @@ std::unique_ptr<UnbundledDb> MakeChannelScanDb(bool streaming) {
 }
 
 void BM_SharedScanChannel(benchmark::State& state) {
-  const bool streaming = state.range(0) == 1;
-  auto db = MakeChannelScanDb(streaming);
+  auto db = MakeChannelScanDb();
   const uint64_t msgs0 = db->channel(0)->op_messages();
   const uint64_t scan_msgs0 = db->channel(0)->scan_messages();
   uint64_t rows_returned = 0;
@@ -167,8 +168,7 @@ void BM_SharedScanChannel(benchmark::State& state) {
   }
   state.counters["rows/op"] = benchmark::Counter(
       static_cast<double>(rows_returned), benchmark::Counter::kAvgIterations);
-  // Blocking mode: ~rows/128 ScanRange request messages per scan.
-  // Streamed mode: 1 scan request message per scan.
+  // 1 scan request message per scan.
   state.counters["scan_req_msgs/op"] = benchmark::Counter(
       static_cast<double>((db->channel(0)->op_messages() - msgs0) +
                           (db->channel(0)->scan_messages() - scan_msgs0)),
@@ -177,14 +177,12 @@ void BM_SharedScanChannel(benchmark::State& state) {
       db->tc()->stats().scan_restarts.load());
 }
 BENCHMARK(BM_SharedScanChannel)
-    ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 void BM_TxnScanChannel(benchmark::State& state) {
-  const bool streaming = state.range(0) == 1;
-  auto db = MakeChannelScanDb(streaming);
+  auto db = MakeChannelScanDb();
   int i = 0;
   for (auto _ : state) {
     Txn txn(db->tc());
@@ -201,26 +199,24 @@ void BM_TxnScanChannel(benchmark::State& state) {
   state.counters["prefetch_hits/op"] = benchmark::Counter(
       static_cast<double>(db->tc()->stats().scan_prefetch_hits.load()),
       benchmark::Counter::kAvgIterations);
-  // PR 4: the streamed fetch-ahead fold sends NO operation messages —
-  // probes and validated reads both ride the stream cursor.
+  // The streamed fetch-ahead fold sends NO operation messages — probes
+  // and validated reads both ride the stream cursor.
   state.counters["op_msgs"] = static_cast<double>(
       db->channel(0)->op_messages());
   state.counters["credit_msgs"] = static_cast<double>(
       db->channel(0)->scan_credit_messages());
 }
 BENCHMARK(BM_TxnScanChannel)
-    ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // ---- Scan flow-control arm (PR 4) -------------------------------------------
 //
-// Eager push vs credited streams: the credit window bounds how many
-// chunks the DC may run ahead of the TC cursor, so the reply channel's
-// peak scan residency (max_queued_scan_bytes) stays at credit x chunk
-// size instead of growing with the whole result. arg0: credit window in
-// chunks (0 = eager push, the PR 3 behavior).
+// The credit window bounds how many chunks the DC may run ahead of the
+// TC cursor, so the reply channel's peak scan residency
+// (max_queued_scan_bytes) stays at credit x chunk size instead of growing
+// with the whole result. arg0: credit window in chunks.
 
 std::unique_ptr<UnbundledDb> MakeCreditScanDb(uint32_t credit) {
   UnbundledDbOptions options = DefaultDbOptions();
@@ -265,7 +261,6 @@ void BM_SharedScanCreditWindow(benchmark::State& state) {
       db->dc(0)->stats().scan_cursor_hint_hits.load());
 }
 BENCHMARK(BM_SharedScanCreditWindow)
-    ->Arg(0)   // eager push
     ->Arg(2)   // tightest practical window
     ->Arg(8)
     ->Arg(32)

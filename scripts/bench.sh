@@ -6,11 +6,12 @@
 #   BUILD_DIR   override the build directory (default: build-bench)
 #   BENCH_ARGS  extra args for every bench binary (e.g. --benchmark_filter=...)
 #
-# Benches: C1 (range locking + streamed-scan arm), C9 (logging / group
-# commit), C10 (pipelining msgs/txn), F2 (Figure 2 cloud scenario —
-# channel AND loopback-TCP socket arms; their msgs/txn must match —
-# plus the replica ship/failover arm: lag under a write burst and the
-# suffix-only resend economics of promoting a hot standby).
+# Benches: C1 (range locking, streamed and credited scan arms; the
+# retired blocking/eager baselines live only in BENCH_PR8.json), C9
+# (logging / group commit), C10 (pipelining msgs/txn), F2 (Figure 2
+# cloud scenario — channel AND loopback-TCP socket arms; their msgs/txn
+# must match — plus the replica ship/failover arm: lag under a write
+# burst and the suffix-only resend economics of promoting a hot standby).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

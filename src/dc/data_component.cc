@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <thread>
 
 #include "common/coding.h"
@@ -989,15 +988,21 @@ void DataComponent::ProduceScanChunks(
 
 void DataComponent::PerformScanStream(const ScanStreamRequest& req,
                                       const ScanChunkEmitter& emit) {
-  if (crashed_.load() || role_.load() == DcRole::kReplica) {
+  auto fail = [&](Status status) {
     ScanStreamChunk chunk;
     chunk.tc_id = req.base.tc_id;
     chunk.stream_id = req.base.lsn;
     chunk.done = true;
-    chunk.status = crashed_.load() ? Status::Crashed("dc is down")
-                                   : Status::Crashed("dc is a replica");
+    chunk.status = std::move(status);
     emit(chunk);
-    return;
+  };
+  if (crashed_.load()) return fail(Status::Crashed("dc is down"));
+  if (role_.load() == DcRole::kReplica) {
+    return fail(Status::Crashed("dc is a replica"));
+  }
+  // Every stream is credited: a zero window could never produce a chunk.
+  if (req.credit_chunks == 0) {
+    return fail(Status::InvalidArgument("scan stream with zero credit"));
   }
   EvictIdleScanCursors();
   stats_.scan_streams.fetch_add(1);
@@ -1005,12 +1010,9 @@ void DataComponent::PerformScanStream(const ScanStreamRequest& req,
   cursor->req = req;
   cursor->resume_key = req.base.key;
   cursor->resume_exclusive = req.base.exclusive_start;
-  cursor->allowed = req.credit_chunks == 0
-                        ? std::numeric_limits<uint32_t>::max()
-                        : req.credit_chunks;
+  cursor->allowed = req.credit_chunks;
   cursor->last_active_ms.store(SteadyNowMs());
-  const bool credited = req.credit_chunks != 0;
-  if (credited) {
+  {
     std::lock_guard<std::mutex> guard(cursor_mu_);
     auto inserted = cursors_.try_emplace(
         std::make_pair(req.base.tc_id, req.base.lsn), cursor);
@@ -1020,7 +1022,7 @@ void DataComponent::PerformScanStream(const ScanStreamRequest& req,
     if (!inserted.second) return;
   }
   ProduceScanChunks(cursor, emit, nullptr);
-  if (credited && cursor->exhausted.load() && !req.probe_rows) {
+  if (cursor->exhausted.load() && !req.probe_rows) {
     std::lock_guard<std::mutex> guard(cursor_mu_);
     auto it = cursors_.find(std::make_pair(req.base.tc_id, req.base.lsn));
     if (it != cursors_.end() && it->second == cursor) cursors_.erase(it);

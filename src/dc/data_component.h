@@ -56,7 +56,7 @@ struct DataComponentOptions {
   uint32_t max_value_size = 1024;
   /// Default result bound for scans/probes when the request says 0.
   uint32_t default_scan_limit = 256;
-  /// A parked scan cursor (credited stream out of credit, or a probe
+  /// A parked scan cursor (a stream out of credit, or a probe
   /// stream whose TC went silent) is evicted after this long idle — the
   /// backstop for abandoned streams whose close message never arrived.
   /// Must exceed the TC's lock wait timeout: a fetch-ahead window can
@@ -152,7 +152,9 @@ class DataComponent : public DcService {
   /// later kScanCredit resumes WITHOUT re-descending the B-tree (the hint
   /// is validated against SMO retirement and falls back to a descent).
   /// Cursors are evicted on stream completion, an explicit close credit,
-  /// the owning TC's reset, DC crash, or the idle TTL.
+  /// the owning TC's reset, DC crash, or the idle TTL. A request with a
+  /// zero window is malformed: it gets one done chunk carrying
+  /// InvalidArgument and no cursor.
   void PerformScanStream(const ScanStreamRequest& req,
                          const ScanChunkEmitter& emit) override;
   void ScanCredit(const ScanCreditRequest& req,

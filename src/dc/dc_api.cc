@@ -1,7 +1,5 @@
 #include "dc/dc_api.h"
 
-#include <algorithm>
-
 #include "common/coding.h"
 #include "net/frame.h"
 
@@ -266,45 +264,12 @@ bool ScanStreamChunk::DecodeFrom(Slice* input, ScanStreamChunk* out) {
 
 void DcService::PerformScanStream(const ScanStreamRequest& req,
                                   const ScanChunkEmitter& emit) {
-  OperationRequest op = req.base;
-  op.op = OpType::kScanRange;
-  const uint32_t total = req.base.limit;  // 0 = unbounded
-  const uint32_t chunk_rows = req.chunk_rows == 0 ? 128 : req.chunk_rows;
-  uint64_t emitted = 0;
-  uint32_t index = 0;
-  for (;;) {
-    uint32_t want = chunk_rows;
-    if (total != 0) {
-      want = static_cast<uint32_t>(
-          std::min<uint64_t>(chunk_rows, total - emitted));
-    }
-    op.limit = want;
-    OperationReply reply = Perform(op);
-    ScanStreamChunk chunk;
-    chunk.tc_id = req.base.tc_id;
-    chunk.stream_id = req.base.lsn;
-    chunk.chunk_index = index++;
-    chunk.resume_key = op.key;
-    chunk.resume_exclusive = op.exclusive_start;
-    chunk.status = reply.status;
-    chunk.keys = std::move(reply.keys);
-    chunk.values = std::move(reply.values);
-    emitted += chunk.keys.size();
-    // Only an EMPTY chunk proves the range ended: a scan may return a
-    // short non-empty reply without being exhausted (e.g. it gave up
-    // after repeated structure changes), and the stream must resume
-    // after it rather than silently truncate. Costs one extra DC-local
-    // read per stream — no extra round trip.
-    const bool exhausted = !chunk.status.ok() || chunk.keys.empty() ||
-                           (total != 0 && emitted >= total);
-    chunk.done = exhausted;
-    if (!exhausted) {
-      op.key = chunk.keys.back();
-      op.exclusive_start = true;
-    }
-    emit(chunk);
-    if (exhausted) return;
-  }
+  ScanStreamChunk chunk;
+  chunk.tc_id = req.base.tc_id;
+  chunk.stream_id = req.base.lsn;
+  chunk.done = true;
+  chunk.status = Status::NotSupported("scan streams need a DataComponent");
+  emit(chunk);
 }
 
 void ControlRequest::EncodeTo(std::string* dst) const {

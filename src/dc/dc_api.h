@@ -153,10 +153,10 @@ struct ScanStreamRequest {
   OperationRequest base;
   /// Rows per chunk reply (0 = the DC-side default).
   uint32_t chunk_rows = 0;
-  /// Flow control: the DC may emit chunks [0, credit_chunks) and must
-  /// then pause until a kScanCredit raises the window — so the reply
-  /// channel never holds more than the credit window of chunks, no
-  /// matter how large the scan. 0 = uncredited (eager push).
+  /// Flow control, >= 1: the DC may emit chunks [0, credit_chunks) and
+  /// must then pause until a kScanCredit raises the window — so the
+  /// reply channel never holds more than the credit window of chunks, no
+  /// matter how large the scan. 0 is malformed (InvalidArgument).
   uint32_t credit_chunks = 0;
   /// Fetch-ahead probe mode (§3.1 fold): chunks report EVERY physical
   /// key (probe semantics, so the TC can lock tombstoned records too)
@@ -279,19 +279,16 @@ class DcService {
   /// Streams a scan as ordered chunks through `emit`, resuming each
   /// chunk after the previous one's last key. Emits a final chunk with
   /// done=true when the range (or the request limit) is exhausted, or
-  /// when an operation fails (the chunk carries the status). The
-  /// default drives Perform(kScanRange) per chunk and declares the
-  /// range exhausted only on an EMPTY reply, so partial replies (a scan
-  /// that gave up early) resume instead of truncating. The default
-  /// driver ignores credit (eager push); DataComponent overrides it
-  /// with a credited, cursor-holding implementation.
+  /// when an operation fails (the chunk carries the status). Streams
+  /// are credited and need a DC-side cursor, so the default answers one
+  /// done chunk carrying NotSupported; DataComponent overrides it.
   virtual void PerformScanStream(const ScanStreamRequest& req,
                                  const ScanChunkEmitter& emit);
 
   /// Raises (or rewinds / closes) the chunk window of an open credited
   /// stream; a paused cursor resumes production through `emit`. Credits
   /// for unknown streams are ignored (the TC restarts on stall). The
-  /// default is a no-op — the base driver above never pauses.
+  /// default is a no-op — the base driver above opens no stream.
   virtual void ScanCredit(const ScanCreditRequest& /*req*/,
                           const ScanChunkEmitter& /*emit*/) {}
 };

@@ -12,7 +12,7 @@ ChannelTransport::ChannelTransport(DataComponent* dc,
       request_ch_(options.request_channel),
       reply_ch_(options.reply_channel),
       client_(this),
-      coalescer_(options.coalesce(),
+      coalescer_(options.coalesce,
                  [this](const std::vector<OperationRequest>& batch) {
                    client_.SendOperationBatch(batch);
                  }) {}

@@ -24,28 +24,8 @@ struct ChannelTransportOptions {
   ChannelOptions reply_channel;
   int server_threads = 2;
   /// Queued (pipelined) operations coalesce into one kOperationBatch
-  /// message; a queue reaching this size flushes immediately.
-  uint32_t max_batch_ops = 64;
-  CoalescePolicy coalesce_policy = CoalescePolicy::kAdaptive;
-  /// kFixedWindow: how long a queued op sits before the background
-  /// flusher pushes it out, for callers that forget an explicit flush.
-  uint32_t coalesce_window_us = 200;
-  /// kAdaptive: flush once no new op has been queued for this long.
-  uint32_t coalesce_idle_us = 25;
-  /// kAdaptive: hard latency target — the oldest queued op never waits
-  /// longer than this for the batch to fill.
-  uint32_t coalesce_max_delay_us = 250;
-
-  /// The shared-coalescer view of the knobs above.
-  CoalesceOptions coalesce() const {
-    CoalesceOptions c;
-    c.max_batch_ops = max_batch_ops;
-    c.policy = coalesce_policy;
-    c.window_us = coalesce_window_us;
-    c.idle_us = coalesce_idle_us;
-    c.max_delay_us = coalesce_max_delay_us;
-    return c;
-  }
+  /// message — the same coalescer config the socket binding takes.
+  CoalesceOptions coalesce;
 };
 
 /// Owns the channels and threads binding one TC to one DC.
@@ -77,8 +57,8 @@ class ChannelTransport {
   /// Operations those messages carried; batching makes this exceed
   /// op_messages().
   uint64_t ops_carried() const { return ops_carried_.load(); }
-  /// Scan-stream request messages sent — ONE per stream (attempt), where
-  /// the blocking protocol paid one request per window.
+  /// Scan-stream request messages sent — ONE per stream (attempt),
+  /// however many windows it spans.
   uint64_t scan_messages() const { return scan_messages_.load(); }
   /// Chunk replies received and the rows they carried.
   uint64_t scan_chunks() const { return scan_chunks_.load(); }
@@ -89,9 +69,9 @@ class ChannelTransport {
     return scan_credit_messages_.load();
   }
   /// High-water mark of scan-chunk bytes resident in the reply channel —
-  /// the memory a scan can pin there. Credited streams bound this by
-  /// credit_chunks × chunk size no matter how large the scan; eager
-  /// streams let it grow with the whole result. (A dropped chunk reply
+  /// the memory a scan can pin there. The credit window bounds this by
+  /// credit_chunks × chunk size no matter how large the scan. (A dropped
+  /// chunk reply
   /// is never decremented, so the mark is conservative on lossy
   /// channels.)
   uint64_t max_queued_scan_bytes() const {
@@ -104,7 +84,7 @@ class ChannelTransport {
   uint64_t promote_ops_carried() const {
     return promote_ops_carried_.load();
   }
-  /// Adaptive-coalescing flush reasons (diagnostics for tuning).
+  /// Coalescer flush reasons (diagnostics for tuning).
   uint64_t coalesce_idle_flushes() const { return coalescer_.idle_flushes(); }
   uint64_t coalesce_deadline_flushes() const {
     return coalescer_.deadline_flushes();

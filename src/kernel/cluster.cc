@@ -189,7 +189,7 @@ StatusOr<std::unique_ptr<Cluster>> Cluster::Open(ClusterOptions options) {
       cluster->socket_servers_.push_back(std::move(server));
     }
     SocketTransportOptions transport_options;
-    transport_options.coalesce = options.channel.coalesce();
+    transport_options.coalesce = options.channel.coalesce;
     socket_factory =
         MakeSocketTransportFactory(std::move(endpoints), transport_options);
     return socket_factory.get();

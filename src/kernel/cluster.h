@@ -242,8 +242,8 @@ class Cluster {
   uint64_t TotalOpMessages() const;
   /// Operations those messages carried; batching makes ops > messages.
   uint64_t TotalOpsCarried() const;
-  /// Scan-stream request messages (one per stream attempt, vs one per
-  /// window on the blocking protocol) and the rows chunk replies carried.
+  /// Scan-stream request messages (one per stream attempt) and the rows
+  /// chunk replies carried.
   uint64_t TotalScanMessages() const;
   uint64_t TotalScanRowsCarried() const;
   /// Scan flow control: kScanCredit messages sent, and the largest

@@ -42,7 +42,7 @@ void OpCoalescer::Queue(const OperationRequest& req) {
     return;
   }
   if (first) {
-    // Arm the window flusher for a queue that just became non-empty.
+    // Arm the flusher for a queue that just became non-empty.
     std::lock_guard<std::mutex> guard(flush_mu_);
     flush_cv_.notify_one();
   }
@@ -76,7 +76,7 @@ bool OpCoalescer::PendingAges(
 void OpCoalescer::FlushLoop() {
   // Safety net for queued ops whose caller never awaits: bounds the time
   // an op can sit in the coalescing buffer. Sleeps until a queue becomes
-  // non-empty, then applies the coalescing policy — zero wakeups idle.
+  // non-empty, then waits out the coalescing rule — zero wakeups idle.
   using Clock = std::chrono::steady_clock;
   for (;;) {
     {
@@ -86,14 +86,8 @@ void OpCoalescer::FlushLoop() {
     }
     if (stop_.load()) return;
     if (!HasPending()) continue;
-    if (options_.policy == CoalescePolicy::kFixedWindow) {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.window_us));
-      Flush();
-      continue;
-    }
-    // Adaptive: flush on submitter quiescence (no enqueue for idle_us)
-    // or when the oldest op hits the latency target.
+    // Flush on submitter quiescence (no enqueue for idle_us) or when the
+    // oldest op hits the latency target.
     const auto idle = std::chrono::microseconds(options_.idle_us);
     const auto max_delay = std::chrono::microseconds(options_.max_delay_us);
     for (;;) {

@@ -96,20 +96,14 @@ struct TcOptions {
   /// a K-key versioned commit costs ceil(K / promote_batch_ops) messages
   /// instead of K (1 = the old one-blocking-trip-per-key protocol).
   uint32_t promote_batch_ops = 64;
-  /// Streamed scan windows: ScanShared and partition-protocol scans open
-  /// one kScanStream request per range (chunked replies) instead of one
-  /// blocking ScanRange round trip per window, and fetch-ahead scans
-  /// prefetch the next probe while locking/validating the current
-  /// window. Off = the per-window blocking protocol (the comparison
-  /// baseline in benches).
-  bool scan_streaming = true;
-  /// Rows per streamed-scan chunk (0 = the DC default).
+  /// Rows per streamed-scan chunk (0 = the DC default). ScanShared and
+  /// partition-protocol scans open one kScanStream request per range.
   uint32_t scan_stream_chunk = 128;
-  /// Scan-stream flow control: the DC may run at most this many chunks
-  /// ahead of the TC cursor's consumption (kScanCredit replenishes the
-  /// window as chunks drain), bounding reply-channel memory to
-  /// credit × chunk size for arbitrarily large scans. 0 = uncredited
-  /// eager push (the PR 3 behavior — unbounded).
+  /// Scan-stream flow control, >= 1: the DC may run at most this many
+  /// chunks ahead of the TC cursor's consumption (kScanCredit replenishes
+  /// the window as chunks drain), bounding reply-channel memory to
+  /// credit × chunk size for arbitrarily large scans. The DC rejects a
+  /// zero window with InvalidArgument.
   uint32_t scan_credit_chunks = 4;
   /// Fetch-ahead protocol: inserts probe and instant-lock the next key so
   /// serializable scans are phantom-safe. Costs one probe per insert.
@@ -160,8 +154,7 @@ struct TcStats {
   std::atomic<uint64_t> scan_credits_sent{0};
   std::atomic<uint64_t> scan_credit_resends{0};
   /// Fetch-ahead fold: windows whose validated read was served from the
-  /// DC-side stream cursor (a rewind chunk) instead of a blocking
-  /// ScanRange round trip.
+  /// DC-side stream cursor (a rewind chunk).
   std::atomic<uint64_t> scan_validated_windows{0};
   /// Fetch-ahead scans: the prefetched next-window probe had already
   /// completed when awaited — the probe round trip fully overlapped the
@@ -436,8 +429,8 @@ class TransactionComponent {
   /// at a row limit). Exactly-once per stable key: a lost or late chunk
   /// re-issues the stream from the last delivered key, and keys at or
   /// below it are filtered — so duplicated stream executions interleave
-  /// safely. Blocks like the windowed protocol did, but costs one
-  /// request message per attempt instead of one per window.
+  /// safely. Costs one request message per attempt, however many
+  /// chunks the range spans.
   Status StreamScan(
       TableId table, const std::string& from, const std::string& to,
       uint32_t limit, ReadFlavor flavor,

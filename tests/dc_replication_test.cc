@@ -11,8 +11,11 @@
 //     crash mid-catch-up.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <thread>
@@ -207,17 +210,21 @@ TEST(DcReplicationTest, RejoinTruncatesDivergentSuffix) {
 // ---- Durable local recovery (the untx_dcd --recover path) -------------------
 
 TEST(DcReplicationTest, LocalDiskRecoveryRestoresPreCrashState) {
-  const std::string dir = ::testing::TempDir() + "dc_local_recovery";
-  std::remove((dir + ".pages").c_str());
-  std::remove((dir + ".redo").c_str());
+  // A private directory per run: concurrent runs of this binary must not
+  // share the page and redo files.
+  std::string tmpl = ::testing::TempDir() + "dc_local_recovery_XXXXXX";
+  ASSERT_NE(mkdtemp(&tmpl[0]), nullptr);
+  const std::string dir = tmpl;
+  const std::string pages = dir + "/dc.pages";
+  const std::string redo = dir + "/dc.redo";
 
   StableStoreOptions store_options;
   store_options.page_size = 1024;
   store_options.trailer_capacity = 128;
-  store_options.path = dir + ".pages";
+  store_options.path = pages;
   DataComponentOptions dc_options;
   dc_options.redo_log_enabled = true;
-  dc_options.redo_log.path = dir + ".redo";
+  dc_options.redo_log.path = redo;
 
   Lsn lsn = 1;
   uint64_t end = 0;
@@ -277,8 +284,9 @@ TEST(DcReplicationTest, LocalDiskRecoveryRestoresPreCrashState) {
   EXPECT_TRUE(qr.replication_enabled);
   EXPECT_EQ(qr.rlsn, end) << "recovered state must be redo-current";
 
-  std::remove((dir + ".pages").c_str());
-  std::remove((dir + ".redo").c_str());
+  std::remove(pages.c_str());
+  std::remove(redo.c_str());
+  rmdir(dir.c_str());
 }
 
 // ---- Cluster-level: ship, lag, promote, rejoin ------------------------------

@@ -6,11 +6,11 @@
 // commit, adaptive coalescing, and per-DC channel option overrides.
 //
 // PR 4 adds the scan flow-control and cursor machinery: credit
-// exhaustion -> pause -> replenish, bounded reply-channel memory
-// (max_queued_scan_bytes), DC-side cursor hints invalidated by SMOs,
-// cursor-table eviction (completion, close, TC reset, idle TTL), and
-// the fetch-ahead fold — zero blocking ScanRange messages per
-// transactional scan.
+// exhaustion -> pause -> replenish, zero-window rejection, bounded
+// reply-channel memory (max_queued_scan_bytes), DC-side cursor hints
+// invalidated by SMOs, cursor-table eviction (completion, close, TC
+// reset, idle TTL), and the fetch-ahead fold — zero blocking ScanRange
+// messages per transactional scan.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -170,14 +170,12 @@ TEST(ScanStreamWireTest, ExclusiveStartHonoredByDoScan) {
   EXPECT_EQ(exclusive.keys[0], Key(2));
 }
 
-std::unique_ptr<UnbundledDb> OpenChannelDb(bool streaming,
-                                           uint32_t chunk_rows = 8) {
+std::unique_ptr<UnbundledDb> OpenChannelDb(uint32_t chunk_rows = 8) {
   UnbundledDbOptions options;
   options.transport = TransportKind::kChannel;
   options.tc.control_interval_ms = 5;
   options.tc.resend_interval_ms = 50;
   options.tc.insert_phantom_protection = false;
-  options.tc.scan_streaming = streaming;
   options.tc.scan_stream_chunk = chunk_rows;
   auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
   EXPECT_TRUE(db->CreateTable(kTable).ok());
@@ -198,7 +196,7 @@ void LoadRows(UnbundledDb* db, int n) {
 // The headline collapse: a scan spanning W windows costs ONE scan
 // request message (plus chunked replies), not W blocking round trips.
 TEST(ScanStreamTest, SharedScanCostsOneRequestForManyWindows) {
-  auto db = OpenChannelDb(/*streaming=*/true, /*chunk_rows=*/8);
+  auto db = OpenChannelDb(/*chunk_rows=*/8);
   constexpr int kRows = 100;  // 13 chunks of 8
   LoadRows(db.get(), kRows);
 
@@ -223,37 +221,42 @@ TEST(ScanStreamTest, SharedScanCostsOneRequestForManyWindows) {
             static_cast<uint64_t>(kRows));
 }
 
-TEST(ScanStreamTest, StreamedAndBlockingScansAgree) {
-  auto streamed = OpenChannelDb(/*streaming=*/true);
-  auto blocking = OpenChannelDb(/*streaming=*/false);
-  LoadRows(streamed.get(), 50);
-  LoadRows(blocking.get(), 50);
-
-  for (auto* db : {streamed.get(), blocking.get()}) {
-    std::vector<std::pair<std::string, std::string>> shared_rows;
-    ASSERT_TRUE(db->tc()
-                    ->ScanShared(kTable, Key(5), Key(45), 0,
-                                 ReadFlavor::kDirty, &shared_rows)
-                    .ok());
-    ASSERT_EQ(shared_rows.size(), 40u);
-    EXPECT_EQ(shared_rows.front().first, Key(5));
-    EXPECT_EQ(shared_rows.back().first, Key(44));
-
-    // Limited scan stops exactly at the limit.
-    std::vector<std::pair<std::string, std::string>> limited;
-    ASSERT_TRUE(db->tc()
-                    ->ScanShared(kTable, "", "", 17, ReadFlavor::kDirty,
-                                 &limited)
-                    .ok());
-    EXPECT_EQ(limited.size(), 17u);
-
-    // Serializable fetch-ahead scan (prefetching when streaming).
-    Txn txn(db->tc());
-    std::vector<std::pair<std::string, std::string>> txn_rows;
-    ASSERT_TRUE(txn.Scan(kTable, Key(10), Key(30), 0, &txn_rows).ok());
-    ASSERT_EQ(txn_rows.size(), 20u);
-    ASSERT_TRUE(txn.Commit().ok());
+// Expects `rows` to be exactly the loaded rows [first, first + count).
+void ExpectLoadedRows(
+    const std::vector<std::pair<std::string, std::string>>& rows, int first,
+    int count) {
+  ASSERT_EQ(rows.size(), static_cast<size_t>(count));
+  for (int i = 0; i < count; ++i) {
+    EXPECT_EQ(rows[i].first, Key(first + i));
+    EXPECT_EQ(rows[i].second, "v" + std::to_string(first + i));
   }
+}
+
+TEST(ScanStreamTest, StreamedScansMatchLoadedRows) {
+  auto db = OpenChannelDb();
+  LoadRows(db.get(), 50);
+
+  std::vector<std::pair<std::string, std::string>> shared_rows;
+  ASSERT_TRUE(db->tc()
+                  ->ScanShared(kTable, Key(5), Key(45), 0, ReadFlavor::kDirty,
+                               &shared_rows)
+                  .ok());
+  ExpectLoadedRows(shared_rows, 5, 40);
+
+  // Limited scan stops exactly at the limit.
+  std::vector<std::pair<std::string, std::string>> limited;
+  ASSERT_TRUE(db->tc()
+                  ->ScanShared(kTable, "", "", 17, ReadFlavor::kDirty,
+                               &limited)
+                  .ok());
+  ExpectLoadedRows(limited, 0, 17);
+
+  // Serializable fetch-ahead scan (prefetching probe stream).
+  Txn txn(db->tc());
+  std::vector<std::pair<std::string, std::string>> txn_rows;
+  ASSERT_TRUE(txn.Scan(kTable, Key(10), Key(30), 0, &txn_rows).ok());
+  ExpectLoadedRows(txn_rows, 10, 20);
+  ASSERT_TRUE(txn.Commit().ok());
 }
 
 // Partition-protocol transactional scans ride the stream too.
@@ -345,15 +348,14 @@ TEST(ScanStreamTest, VersionedCommitBatchesPromotes) {
 }
 
 // Adaptive coalescing: a queued op whose submitter goes quiescent is
-// flushed by the idle rule — long before the fixed-window worst case.
+// flushed by the idle rule within the latency target.
 TEST(ScanStreamTest, AdaptiveCoalescingFlushesOnQuiescence) {
   UnbundledDbOptions options;
   options.transport = TransportKind::kChannel;
   options.tc.control_interval_ms = 100;
   options.tc.insert_phantom_protection = false;
-  options.channel.coalesce_policy = CoalescePolicy::kAdaptive;
-  options.channel.coalesce_idle_us = 25;
-  options.channel.coalesce_max_delay_us = 250;
+  options.channel.coalesce.idle_us = 25;
+  options.channel.coalesce.max_delay_us = 250;
   auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
   ASSERT_TRUE(db->CreateTable(kTable).ok());
 
@@ -406,50 +408,75 @@ TEST(ScanFlowControlTest, CreditExhaustionPausesAndReplenishes) {
 
 // The headline memory bound (acceptance criterion): a 10k-row scan with
 // a 2-chunk credit window keeps the reply channel's scan residency at
-// credit x chunk size, while the eager baseline queues a large fraction
-// of the whole result — and both deliver identical rows.
+// credit x chunk size and still delivers every loaded row.
 TEST(ScanFlowControlTest, BoundedQueuedBytesForLargeScan) {
   constexpr int kRows = 10000;
   constexpr uint32_t kChunkRows = 64;
   constexpr uint32_t kCredit = 2;
-  auto run = [&](uint32_t credit, uint64_t* max_queued)
-      -> std::vector<std::pair<std::string, std::string>> {
-    UnbundledDbOptions options;
-    options.transport = TransportKind::kChannel;
-    // A little reply latency makes chunks resident in the channel, so
-    // the high-water mark reflects how far the DC ran ahead.
-    options.channel.reply_channel.min_delay_us = 300;
-    options.channel.reply_channel.max_delay_us = 400;
-    options.tc.control_interval_ms = 5;
-    options.tc.insert_phantom_protection = false;
-    options.tc.scan_stream_chunk = kChunkRows;
-    options.tc.scan_credit_chunks = credit;
-    auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
-    EXPECT_TRUE(db->CreateTable(kTable).ok());
-    LoadRows(db.get(), kRows);
-    std::vector<std::pair<std::string, std::string>> rows;
-    EXPECT_TRUE(db->tc()
-                    ->ScanShared(kTable, "", "", 0, ReadFlavor::kDirty,
-                                 &rows)
-                    .ok());
-    *max_queued = db->channel(0)->max_queued_scan_bytes();
-    return rows;
-  };
-
-  uint64_t credited_max = 0;
-  auto credited_rows = run(kCredit, &credited_max);
-  uint64_t eager_max = 0;
-  auto eager_rows = run(0, &eager_max);
-
-  ASSERT_EQ(credited_rows.size(), static_cast<size_t>(kRows));
-  ASSERT_EQ(eager_rows, credited_rows) << "flow control changed the rows";
+  UnbundledDbOptions options;
+  options.transport = TransportKind::kChannel;
+  // A little reply latency makes chunks resident in the channel, so the
+  // high-water mark reflects how far the DC ran ahead.
+  options.channel.reply_channel.min_delay_us = 300;
+  options.channel.reply_channel.max_delay_us = 400;
+  options.tc.control_interval_ms = 5;
+  options.tc.insert_phantom_protection = false;
+  options.tc.scan_stream_chunk = kChunkRows;
+  options.tc.scan_credit_chunks = kCredit;
+  auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
+  ASSERT_TRUE(db->CreateTable(kTable).ok());
+  LoadRows(db.get(), kRows);
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db->tc()
+                  ->ScanShared(kTable, "", "", 0, ReadFlavor::kDirty, &rows)
+                  .ok());
+  ExpectLoadedRows(rows, 0, kRows);
 
   // credit window x (a generous per-chunk wire-size bound).
   const uint64_t bound = kCredit * (kChunkRows * 32 + 128);
-  EXPECT_LE(credited_max, bound)
+  EXPECT_LE(db->channel(0)->max_queued_scan_bytes(), bound)
       << "credited stream overran its reply-channel budget";
-  EXPECT_GT(eager_max, 4 * credited_max)
-      << "eager push should queue far more than the credited stream";
+}
+
+// A zero credit window is malformed wire input: the DC answers one done
+// chunk carrying InvalidArgument and parks no cursor. A DcService that
+// does not override PerformScanStream cannot hold a cursor at all and
+// answers NotSupported the same way.
+TEST(ScanFlowControlTest, ZeroCreditAndDefaultServiceRejectStreams) {
+  auto db = std::move(UnbundledDb::Open(UnbundledDbOptions())).ValueOrDie();
+  ASSERT_TRUE(db->CreateTable(kTable).ok());
+  DataComponent* dc = db->dc(0);
+  std::vector<ScanStreamChunk> chunks;
+  auto emit = [&](const ScanStreamChunk& chunk) { chunks.push_back(chunk); };
+
+  ScanStreamRequest req;
+  req.base.op = OpType::kScanRange;
+  req.base.tc_id = 9;
+  req.base.lsn = 555;  // stream id
+  req.base.table_id = kTable;
+  req.base.read_flavor = ReadFlavor::kDirty;
+  req.chunk_rows = 8;
+  req.credit_chunks = 0;
+  dc->PerformScanStream(req, emit);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_TRUE(chunks[0].done);
+  EXPECT_EQ(chunks[0].stream_id, 555u);
+  EXPECT_TRUE(chunks[0].status.IsInvalidArgument());
+  EXPECT_TRUE(chunks[0].keys.empty());
+  EXPECT_EQ(dc->ScanCursorCount(), 0u);
+
+  class EchoService : public DcService {
+   public:
+    OperationReply Perform(const OperationRequest&) override { return {}; }
+    ControlReply Control(const ControlRequest&) override { return {}; }
+  } service;
+  chunks.clear();
+  req.credit_chunks = 4;
+  service.PerformScanStream(req, emit);
+  ASSERT_EQ(chunks.size(), 1u);
+  EXPECT_TRUE(chunks[0].done);
+  EXPECT_EQ(chunks[0].stream_id, 555u);
+  EXPECT_TRUE(chunks[0].status.IsNotSupported());
 }
 
 // Acceptance criterion: a transactional fetch-ahead scan is served
@@ -457,7 +484,7 @@ TEST(ScanFlowControlTest, BoundedQueuedBytesForLargeScan) {
 // (no blocking ScanRange, no separate probes), just the one stream
 // request plus credits.
 TEST(ScanFlowControlTest, TxnScanSendsZeroBlockingScanRanges) {
-  auto db = OpenChannelDb(/*streaming=*/true, /*chunk_rows=*/8);
+  auto db = OpenChannelDb(/*chunk_rows=*/8);
   constexpr int kRows = 120;
   LoadRows(db.get(), kRows);
 
@@ -629,23 +656,19 @@ TEST(ScanStreamTest, PerDcChannelOverrides) {
   ClusterOptions options;
   options.num_dcs = 2;
   options.transport = TransportKind::kChannel;
-  options.channel.max_batch_ops = 64;
-  options.channel.coalesce_policy = CoalescePolicy::kAdaptive;
+  options.channel.coalesce.max_batch_ops = 64;
+  options.channel.coalesce.max_delay_us = 250;
   ChannelTransportOptions far_dc = options.channel;
-  far_dc.max_batch_ops = 7;
-  far_dc.coalesce_policy = CoalescePolicy::kFixedWindow;
-  far_dc.coalesce_window_us = 500;
+  far_dc.coalesce.max_batch_ops = 7;
+  far_dc.coalesce.max_delay_us = 500;
   options.channel_overrides[1] = far_dc;
   auto cluster = std::move(Cluster::Open(options)).ValueOrDie();
   ASSERT_NE(cluster->channel(0, 0), nullptr);
   ASSERT_NE(cluster->channel(0, 1), nullptr);
-  EXPECT_EQ(cluster->channel(0, 0)->options().max_batch_ops, 64u);
-  EXPECT_EQ(cluster->channel(0, 0)->options().coalesce_policy,
-            CoalescePolicy::kAdaptive);
-  EXPECT_EQ(cluster->channel(0, 1)->options().max_batch_ops, 7u);
-  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce_policy,
-            CoalescePolicy::kFixedWindow);
-  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce_window_us, 500u);
+  EXPECT_EQ(cluster->channel(0, 0)->options().coalesce.max_batch_ops, 64u);
+  EXPECT_EQ(cluster->channel(0, 0)->options().coalesce.max_delay_us, 250u);
+  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce.max_batch_ops, 7u);
+  EXPECT_EQ(cluster->channel(0, 1)->options().coalesce.max_delay_us, 500u);
 }
 
 }  // namespace
