@@ -71,9 +71,8 @@ class ChannelTransport {
   /// High-water mark of scan-chunk bytes resident in the reply channel —
   /// the memory a scan can pin there. The credit window bounds this by
   /// credit_chunks × chunk size no matter how large the scan. (A dropped
-  /// chunk reply
-  /// is never decremented, so the mark is conservative on lossy
-  /// channels.)
+  /// chunk reply is never decremented, so the mark is conservative on
+  /// lossy channels.)
   uint64_t max_queued_scan_bytes() const {
     return max_queued_scan_bytes_.load();
   }
