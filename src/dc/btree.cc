@@ -173,6 +173,20 @@ Status BTree::LocateLeaf(TableId table, Slice key, bool exclusive,
     } else {
       cur->latch.LockShared();
     }
+    // A root split publishes the new root before it releases the old
+    // root's latch. A descent that read the old pid before the split and
+    // latched it after would search only the old root's left half and
+    // could place or look up a key in the wrong leaf.
+    StatusOr<PageId> current = GetRoot(table);
+    if (!current.ok() || *current != *root) {
+      if (cur_exclusive) {
+        cur->latch.UnlockExclusive();
+      } else {
+        cur->latch.UnlockShared();
+      }
+      pool_->Unpin(cur);
+      continue;
+    }
 
     for (;;) {
       if (cur->retired) {

@@ -974,7 +974,19 @@ void DataComponent::ProduceScanChunks(
     cursor->emitted_rows += chunk.keys.size();
     const bool limit_hit = total != 0 && cursor->emitted_rows >= total;
     chunk.done = !chunk.status.ok() || window_ended || limit_hit;
-    if (chunk.done) cursor->exhausted.store(true);
+    if (chunk.done) {
+      cursor->exhausted.store(true);
+      // A finished plain stream leaves the table BEFORE its done chunk
+      // does, so a TC that has seen the end never finds it registered.
+      // Probe cursors stay until the TC's close: the last window's
+      // rewind still reads from them.
+      if (!cursor->req.probe_rows) {
+        std::lock_guard<std::mutex> guard(cursor_mu_);
+        auto it = cursors_.find(
+            std::make_pair(cursor->req.base.tc_id, cursor->req.base.lsn));
+        if (it != cursors_.end() && it->second == cursor) cursors_.erase(it);
+      }
+    }
     ++cursor->next_chunk;
     stats_.scan_chunks_emitted.fetch_add(1);
     emit(chunk);
@@ -1022,11 +1034,6 @@ void DataComponent::PerformScanStream(const ScanStreamRequest& req,
     if (!inserted.second) return;
   }
   ProduceScanChunks(cursor, emit, nullptr);
-  if (cursor->exhausted.load() && !req.probe_rows) {
-    std::lock_guard<std::mutex> guard(cursor_mu_);
-    auto it = cursors_.find(std::make_pair(req.base.tc_id, req.base.lsn));
-    if (it != cursors_.end() && it->second == cursor) cursors_.erase(it);
-  }
 }
 
 void DataComponent::ScanCredit(const ScanCreditRequest& req,
@@ -1045,11 +1052,6 @@ void DataComponent::ScanCredit(const ScanCreditRequest& req,
     cursor = it->second;
   }
   ProduceScanChunks(cursor, emit, &req);
-  if (cursor->exhausted.load() && !cursor->req.probe_rows) {
-    std::lock_guard<std::mutex> guard(cursor_mu_);
-    auto it = cursors_.find(std::make_pair(req.tc_id, req.stream_id));
-    if (it != cursors_.end() && it->second == cursor) cursors_.erase(it);
-  }
 }
 
 size_t DataComponent::ScanCursorCount() const {

@@ -283,7 +283,10 @@ class DataComponent : public DcService {
   };
 
   /// Produces chunks for `cursor` until its credit window or the range
-  /// is exhausted, applying an optional rewind first. Holds cursor->mu.
+  /// is exhausted, applying an optional rewind first, and unregisters a
+  /// finished plain stream before emitting its done chunk. Holds
+  /// cursor->mu and takes cursor_mu_ inside it (nothing takes them in the
+  /// other order).
   void ProduceScanChunks(const std::shared_ptr<ScanCursor>& cursor,
                          const ScanChunkEmitter& emit,
                          const ScanCreditRequest* credit);

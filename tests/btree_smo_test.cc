@@ -1,11 +1,15 @@
 // B-tree structure-modification tests at the BTree level: multi-level
-// splits, consolidation, height shrink, replay idempotence, and random
-// SMO storms checked against tree invariants.
+// splits, consolidation, height shrink, replay idempotence, random SMO
+// storms checked against tree invariants, and concurrent inserts racing
+// root splits.
 #include "dc/btree.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "dc/data_component.h"
@@ -157,6 +161,61 @@ TEST_F(BTreeSmoTest, FreedPagesAreRecycled) {
   }
   EXPECT_LE(store_->allocated_high_water(), high_water_full + 20)
       << "consolidated pages must return to the allocator";
+}
+
+// Concurrent inserts race root splits: a descent that read the root pid
+// just before a split and latched that page just after it must not
+// search the old root's left half only. Every key must land in the leaf
+// its separators name — CheckInvariants checks each leaf's key bounds —
+// and be found both by point reads and by one leaf-chain scan.
+TEST_F(BTreeSmoTest, ConcurrentInsertsAcrossRootSplits) {
+  constexpr int kThreads = 4;
+  constexpr int kKeys = 600;
+  constexpr int kTables = 12;
+  std::atomic<Lsn> next_lsn{next_lsn_};
+  auto perform = [&](OpType op, TableId table, const std::string& key) {
+    OperationRequest req;
+    req.tc_id = 1;
+    req.lsn = next_lsn.fetch_add(1);
+    req.op = op;
+    req.table_id = table;
+    req.key = key;
+    req.value = "v" + key;
+    return dc_->Perform(req);
+  };
+  for (TableId table = 2; table < 2 + kTables; ++table) {
+    ASSERT_TRUE(perform(OpType::kCreateTable, table, "").status.ok());
+    std::vector<std::thread> writers;
+    std::atomic<int> failures{0};
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (int i = t; i < kKeys; i += kThreads) {
+          if (!perform(OpType::kUpsert, table, Key(i)).status.ok()) {
+            failures.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (auto& w : writers) w.join();
+    ASSERT_EQ(failures.load(), 0);
+    ASSERT_TRUE(dc_->btree()->CheckInvariants(table).ok())
+        << "table " << table;
+    for (int i = 0; i < kKeys; ++i) {
+      OperationReply read = perform(OpType::kRead, table, Key(i));
+      ASSERT_TRUE(read.status.ok()) << "table " << table << " " << Key(i);
+    }
+    OperationRequest scan;
+    scan.tc_id = 1;
+    scan.lsn = next_lsn.fetch_add(1);
+    scan.op = OpType::kScanRange;
+    scan.table_id = table;
+    scan.limit = 100000;
+    OperationReply rows = dc_->Perform(scan);
+    ASSERT_TRUE(rows.status.ok());
+    ASSERT_EQ(rows.keys.size(), static_cast<size_t>(kKeys))
+        << "table " << table;
+    for (int i = 0; i < kKeys; ++i) ASSERT_EQ(rows.keys[i], Key(i));
+  }
 }
 
 class BTreeStormTest : public BTreeSmoTest,
