@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify with warnings on: configure, build, ctest.
-# Usage: scripts/check.sh [--asan|--tsan|--socket|--stress N] [extra cmake args...]
+# Usage: scripts/check.sh [--asan|--tsan|--socket|--stress N]
+#                         [--filter REGEX] [extra cmake args...]
 #   --asan    build and test under ASan+UBSan (its own build dir), so the
 #             concurrent multi-TC / channel paths are sanitizer-checked.
 #   --tsan    build and test under ThreadSanitizer (its own build dir) —
@@ -15,6 +16,11 @@
 #             -j$(nproc), so load-dependent flakes show up. Every failing
 #             round's output is kept as $BUILD_DIR/stress-logs/round-K.log;
 #             the script exits non-zero if any round failed.
+#   --filter REGEX  run only the ctest suites matching REGEX (ctest -R),
+#             with any of the modes above, e.g.
+#             scripts/check.sh --tsan --filter recovery_test
+#             scripts/check.sh --stress 20 --filter 'cloud_test|recovery_test'
+#             It replaces --socket's own suite list.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -22,35 +28,57 @@ CTEST_FILTER=()
 CXX_FLAGS="-Wall -Wextra"
 LINK_FLAGS=""
 STRESS_ROUNDS=0
-if [[ "${1:-}" == "--socket" ]]; then
-  shift
+MODE=""
+FILTER=""
+usage() {
+  echo "usage: scripts/check.sh [--asan|--tsan|--socket|--stress N]" \
+    "[--filter REGEX] [cmake args...]" >&2
+  exit 2
+}
+while (( $# > 0 )); do
+  case "$1" in
+    --asan|--tsan|--socket)
+      MODE="$1"
+      shift
+      ;;
+    --stress)
+      STRESS_ROUNDS="${2:-}"
+      [[ "$STRESS_ROUNDS" =~ ^[1-9][0-9]*$ ]] || usage
+      MODE="$1"
+      shift 2
+      ;;
+    --filter)
+      FILTER="${2:-}"
+      [[ -n "$FILTER" ]] || usage
+      shift 2
+      ;;
+    *)
+      break
+      ;;
+  esac
+done
+
+if [[ "$MODE" == "--socket" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-socket}"
   SAN="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   CXX_FLAGS="$CXX_FLAGS $SAN"
   LINK_FLAGS="$SAN"
   CTEST_FILTER=(-R 'frame_codec_test|socket_transport_test|process_cluster_test|dc_replication_test')
-elif [[ "${1:-}" == "--asan" ]]; then
-  shift
+elif [[ "$MODE" == "--asan" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-asan}"
   SAN="-fsanitize=address,undefined -fno-sanitize-recover=all -fno-omit-frame-pointer"
   CXX_FLAGS="$CXX_FLAGS $SAN"
   LINK_FLAGS="$SAN"
-elif [[ "${1:-}" == "--tsan" ]]; then
-  shift
+elif [[ "$MODE" == "--tsan" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-tsan}"
   SAN="-fsanitize=thread -fno-omit-frame-pointer -O1 -g"
   CXX_FLAGS="$CXX_FLAGS $SAN"
   LINK_FLAGS="-fsanitize=thread"
-elif [[ "${1:-}" == "--stress" ]]; then
-  STRESS_ROUNDS="${2:-}"
-  if ! [[ "$STRESS_ROUNDS" =~ ^[1-9][0-9]*$ ]]; then
-    echo "usage: scripts/check.sh --stress N (N >= 1)" >&2
-    exit 2
-  fi
-  shift 2
-  BUILD_DIR="${BUILD_DIR:-build-check}"
 else
   BUILD_DIR="${BUILD_DIR:-build-check}"
+fi
+if [[ -n "$FILTER" ]]; then
+  CTEST_FILTER=(-R "$FILTER")
 fi
 
 cmake -B "$BUILD_DIR" -S . \
@@ -66,7 +94,7 @@ if (( STRESS_ROUNDS > 0 )); then
   for ((round = 1; round <= STRESS_ROUNDS; round++)); do
     log="$LOG_DIR/round-$round.log"
     if ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)" \
-        > "$log" 2>&1; then
+        ${CTEST_FILTER[@]+"${CTEST_FILTER[@]}"} > "$log" 2>&1; then
       rm -f "$log"
       echo "stress round $round/$STRESS_ROUNDS: pass"
     else

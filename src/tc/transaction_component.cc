@@ -21,6 +21,13 @@ std::string InflightKey(TableId table, const std::string& key) {
   return out;
 }
 
+uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 }  // namespace
 
 // ---- RangePartitionConfig ----------------------------------------------------
@@ -155,17 +162,20 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
       if (acked_it != acked_rlsns_.end()) acked_it->second.erase(reply.lsn);
     }
     outstanding_.erase(it);
-    // Release the per-key conflict gate for pipelined successors.
-    auto key_it = inflight_keys_.find(
-        InflightKey(op->request.table_id, op->request.key));
-    if (key_it != inflight_keys_.end()) {
-      auto& ops = key_it->second;
-      ops.erase(std::remove(ops.begin(), ops.end(), op), ops.end());
-      if (ops.empty()) inflight_keys_.erase(key_it);
-    }
-    // Drain the backpressure window and wake blocked submitters.
-    if (op->pipelined && op->txn != kInvalidTxnId) {
-      ReleaseWindowSlotLocked(op->txn, op->dc);
+    // Only pipelined ops enter the per-key conflict gate and the
+    // backpressure window; probes, recovery resends and promotes skip
+    // both (and the gate-key allocation).
+    if (op->pipelined) {
+      // Release the conflict gate for pipelined successors.
+      auto key_it = inflight_keys_.find(
+          InflightKey(op->request.table_id, op->request.key));
+      if (key_it != inflight_keys_.end()) {
+        auto& ops = key_it->second;
+        ops.erase(std::remove(ops.begin(), ops.end(), op), ops.end());
+        if (ops.empty()) inflight_keys_.erase(key_it);
+      }
+      // Drain the backpressure window and wake blocked submitters.
+      if (op->txn != kInvalidTxnId) ReleaseWindowSlotLocked(op->txn, op->dc);
     }
   }
   if (op->needs_seal) {
@@ -1003,8 +1013,30 @@ Lsn TransactionComponent::rssp() const {
   return rssp_;
 }
 
+bool TransactionComponent::AnyDcRecoveringLocked() const {
+  for (const auto& [dc, recovering] : dc_recovering_) {
+    if (recovering) return true;
+  }
+  return false;
+}
+
+size_t TransactionComponent::outstanding_ops() {
+  std::lock_guard<std::mutex> guard(out_mu_);
+  return outstanding_.size();
+}
+
 Status TransactionComponent::TakeCheckpoint() {
   if (crashed_.load()) return Status::Crashed("tc is down");
+  // A DC that is down or replaying its redo would acknowledge a
+  // checkpoint over pages that lack the redo, and truncation could drop
+  // records its redo indexed but has not shipped yet.
+  const Status dc_recovering = Status::Busy("a dc is recovering");
+  uint64_t gate_closes;
+  {
+    std::lock_guard<std::mutex> guard(out_mu_);
+    if (AnyDcRecoveringLocked()) return dc_recovering;
+    gate_closes = dc_gate_closes_;
+  }
   // Candidate RSSP: every op at or below the LWM has completed; ask the
   // DCs to make pages with ops below it stable.
   log_.Force();
@@ -1028,7 +1060,14 @@ Status TransactionComponent::TakeCheckpoint() {
     }
   }
   {
-    std::lock_guard<std::mutex> guard(rssp_mu_);
+    // Re-check and advance the RSSP as one step: a DC recovery that
+    // starts after this point indexes its redo from the new RSSP, which
+    // the truncation below never passes.
+    std::lock_guard<std::mutex> guard(out_mu_);
+    if (AnyDcRecoveringLocked() || dc_gate_closes_ != gate_closes) {
+      return dc_recovering;
+    }
+    std::lock_guard<std::mutex> rssp_guard(rssp_mu_);
     if (granted_min > rssp_) rssp_ = granted_min;
   }
   TcLogRecord rec;
@@ -1122,13 +1161,18 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
   std::map<TxnId, bool> versioned_txn;
   for (uint64_t i = begin; i < end; ++i) {
     std::string payload;
-    if (!log_.ReadAt(i, &payload).ok()) continue;
+    if (!log_.ReadAt(i, &payload).ok()) {
+      return Status::Corruption("unreadable tc log record");
+    }
     Slice in(payload);
     TcLogRecord rec;
     if (!TcLogRecord::DecodeFrom(&in, &rec)) {
       return Status::Corruption("bad tc log record");
     }
     const Lsn lsn = i + 1;
+    if (const std::optional<DcId> dc = RedoTarget(rec)) {
+      out->redo[*dc].push_back(i);
+    }
     switch (rec.type) {
       case TcLogRecordType::kCheckpoint:
         if (rec.rssp > out->rssp) out->rssp = rec.rssp;
@@ -1137,16 +1181,22 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
         out->losers[rec.txn] = TxnState{rec.txn, {}, {}, {}};
         break;
       case TcLogRecordType::kOperation: {
-        auto it = out->losers.find(rec.txn);
-        if (it != out->losers.end() && rec.applied && IsWriteOp(rec.op) &&
-            rec.op != OpType::kPromoteVersion &&
-            rec.op != OpType::kRollbackVersion) {
-          it->second.undo_chain.push_back(UndoEntry{
-              lsn, rec.op, rec.table_id, rec.key, rec.before,
-              rec.has_before});
-          it->second.written_keys.emplace_back(rec.table_id, rec.key);
-          if (rec.versioned) versioned_txn[rec.txn] = true;
+        if (rec.txn == kInvalidTxnId || !rec.applied || !IsWriteOp(rec.op) ||
+            rec.op == OpType::kPromoteVersion ||
+            rec.op == OpType::kRollbackVersion) {
+          break;
         }
+        // A checkpoint keeps the log from an open txn's first operation,
+        // so its begin record may be truncated: the operation itself
+        // makes the txn a loser until its commit or abort shows up.
+        TxnState& state =
+            out->losers.try_emplace(rec.txn, TxnState{rec.txn, {}, {}, {}})
+                .first->second;
+        state.undo_chain.push_back(UndoEntry{lsn, rec.op, rec.table_id,
+                                             rec.key, rec.before,
+                                             rec.has_before});
+        state.written_keys.emplace_back(rec.table_id, rec.key);
+        if (rec.versioned) versioned_txn[rec.txn] = true;
         break;
       }
       case TcLogRecordType::kClr:
@@ -1171,7 +1221,33 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
         break;
     }
   }
+  // Redo starts at the RSSP, which the last checkpoint record fixed only
+  // once the scan had passed the records below it.
+  for (auto it = out->redo.begin(); it != out->redo.end();) {
+    auto& indices = it->second;
+    indices.erase(indices.begin(),
+                  std::lower_bound(indices.begin(), indices.end(),
+                                   out->rssp - 1));
+    it = indices.empty() ? out->redo.erase(it) : std::next(it);
+  }
   return Status::OK();
+}
+
+std::optional<DcId> TransactionComponent::RedoTarget(
+    const TcLogRecord& rec) const {
+  if (rec.type != TcLogRecordType::kOperation &&
+      rec.type != TcLogRecordType::kClr) {
+    return std::nullopt;
+  }
+  if (!IsWriteOp(rec.op)) return std::nullopt;  // reads have no redo effect
+  // Logically-failed operations (NotFound / AlreadyExists) had no
+  // effect; re-executing them against recovered state could produce a
+  // DIFFERENT outcome. Version ops are always resent (idempotent).
+  if (!rec.applied && rec.op != OpType::kPromoteVersion &&
+      rec.op != OpType::kRollbackVersion) {
+    return std::nullopt;
+  }
+  return Route(rec.table_id, rec.key);
 }
 
 Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
@@ -1196,32 +1272,23 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
   // sealed == stable and this is exactly the stable log.
   const uint64_t end = log_.sealed_prefix_end();
 
-  // Pass 1: index the redo operations per DC, in LSN order (indices
-  // only — payloads are re-read per batch so recovery never materializes
-  // the whole redo stream). A key maps to exactly one DC, so per-DC
-  // order is all that conflicting operations need ("redo repeats history
-  // by delivering operations in the correct order to the DC", §3.2).
-  std::map<DcId, std::vector<uint64_t>> per_dc;
+  // Index the redo operations per DC, in LSN order. A key maps to exactly
+  // one DC, so per-DC order is all that conflicting operations need
+  // ("redo repeats history by delivering operations in the correct order
+  // to the DC", §3.2).
+  RedoIndex index;
   for (uint64_t i = begin; i < end; ++i) {
     std::string payload;
-    if (!log_.ReadAt(i, &payload).ok()) continue;
+    if (!log_.ReadAt(i, &payload).ok()) {
+      return Status::Corruption("unreadable tc log record in redo range");
+    }
     Slice in(payload);
     TcLogRecord rec;
-    if (!TcLogRecord::DecodeFrom(&in, &rec)) continue;
-    if (rec.type != TcLogRecordType::kOperation &&
-        rec.type != TcLogRecordType::kClr) {
-      continue;
+    if (!TcLogRecord::DecodeFrom(&in, &rec)) {
+      return Status::Corruption("bad tc log record in redo range");
     }
-    if (!IsWriteOp(rec.op)) continue;  // reads have no redo effect
-    // Logically-failed operations (NotFound / AlreadyExists) had no
-    // effect; re-executing them against recovered state could produce a
-    // DIFFERENT outcome. Version ops are always resent (idempotent).
-    if (!rec.applied && rec.op != OpType::kPromoteVersion &&
-        rec.op != OpType::kRollbackVersion) {
-      continue;
-    }
-    const DcId dc = Route(rec.table_id, rec.key);
-    if (!all_dcs && dc != only_dc) continue;
+    const std::optional<DcId> dc = RedoTarget(rec);
+    if (!dc || (!all_dcs && *dc != only_dc)) continue;
     if (dc_redo_end != 0 && !all_dcs) {
       auto ack_it = acked.find(static_cast<Lsn>(i + 1));
       if (ack_it != acked.end() && ack_it->second <= dc_redo_end) {
@@ -1229,120 +1296,147 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
         continue;
       }
     }
-    per_dc[dc].push_back(i);
+    index[*dc].push_back(i);
   }
+  return ShipRedo(index);
+}
 
-  // Pass 2: ship each DC's redo stream as ordered kOperationBatch
-  // messages — one round trip per batch instead of one per op. A batch
-  // executes in request order at the DC (PerformBatch) and batches to
-  // one DC are awaited before the next is sent, preserving LSN order.
+Status TransactionComponent::ShipRedo(const RedoIndex& index) {
+  // The DCs are independent, so their streams run concurrently: restart
+  // takes as long as the slowest DC's redo, not the sum of them all.
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<Status> results(index.size());
+  std::vector<std::thread> workers;
+  workers.reserve(index.size());
+  size_t slot = 0;
+  for (const auto& stream : index) {
+    workers.emplace_back([this, &stream, &result = results[slot++]] {
+      result = ShipDcRedo(stream.first, stream.second);
+    });
+  }
+  for (auto& worker : workers) worker.join();
+  stats_.redo_ship_us.fetch_add(MicrosSince(start));
+  for (const Status& s : results) {
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+Status TransactionComponent::ShipDcRedo(DcId dc,
+                                        const std::vector<uint64_t>& indices) {
+  // Ordered kOperationBatch messages — one round trip per batch instead
+  // of one per op. A batch executes in request order at the DC
+  // (PerformBatch) and is awaited before the next is sent, preserving
+  // LSN order.
+  static const bool trace_redo = getenv("UNTX_TRACE") != nullptr;
   const size_t batch_cap = std::max<uint32_t>(1, options_.recovery_batch_ops);
-  for (auto& [dc, indices] : per_dc) {
-    for (size_t base = 0; base < indices.size(); base += batch_cap) {
-      const size_t count = std::min(batch_cap, indices.size() - base);
-      std::vector<OperationRequest> chunk;
-      chunk.reserve(count);
-      for (size_t k = base; k < base + count; ++k) {
-        const uint64_t i = indices[k];
-        std::string payload;
-        if (!log_.ReadAt(i, &payload).ok()) continue;
-        Slice in(payload);
-        TcLogRecord rec;
-        if (!TcLogRecord::DecodeFrom(&in, &rec)) continue;
-        OperationRequest req;
-        req.tc_id = options_.tc_id;
-        req.lsn = i + 1;
-        req.op = rec.op;
-        req.table_id = rec.table_id;
-        req.key = rec.key;
-        req.value = rec.value;
-        req.versioned = rec.versioned;
-        req.recovery_resend = true;
-        static const bool trace_redo = getenv("UNTX_TRACE") != nullptr;
-        if (trace_redo) {
-          fprintf(stderr, "[tc%u] REDO lsn=%llu op=%d t=%u key=%s dc=%u\n",
-                  options_.tc_id, (unsigned long long)req.lsn,
-                  (int)req.op, req.table_id, req.key.c_str(), dc);
-        }
-        chunk.push_back(std::move(req));
+  for (size_t base = 0; base < indices.size(); base += batch_cap) {
+    const size_t count = std::min(batch_cap, indices.size() - base);
+    std::vector<OperationRequest> chunk;
+    chunk.reserve(count);
+    for (size_t k = base; k < base + count; ++k) {
+      const uint64_t i = indices[k];
+      // A record the index named must still be there: skipping it would
+      // silently lose its effect at the DC.
+      std::string payload;
+      if (!log_.ReadAt(i, &payload).ok()) {
+        return Status::Corruption("indexed redo record unreadable");
       }
-      if (chunk.empty()) continue;
-      std::vector<std::shared_ptr<OutstandingOp>> ops;
-      ops.reserve(chunk.size());
-      {
-        std::lock_guard<std::mutex> guard(out_mu_);
-        const auto now = std::chrono::steady_clock::now();
-        for (const auto& req : chunk) {
-          auto op = std::make_shared<OutstandingOp>();
-          op->request = req;
-          op->dc = dc;
-          op->needs_seal = false;
-          // Stamp the send time: ResendPass must not judge the batch
-          // stale on its next tick and flood per-op resends while the
-          // batch message is legitimately in flight.
-          op->last_send = now;
-          outstanding_[req.lsn] = op;
-          ops.push_back(std::move(op));
-        }
+      Slice in(payload);
+      TcLogRecord rec;
+      if (!TcLogRecord::DecodeFrom(&in, &rec)) {
+        return Status::Corruption("indexed redo record undecodable");
       }
-      // Send directly: the per-DC "recovering" gate only holds back the
-      // background resend daemon, not the recovery driver itself.
-      stats_.recovery_resent_ops.fetch_add(chunk.size());
-      stats_.recovery_resend_msgs.fetch_add(1);
-      ClientFor(dc)->SendOperationBatch(chunk);
+      OperationRequest req;
+      req.tc_id = options_.tc_id;
+      req.lsn = i + 1;
+      req.op = rec.op;
+      req.table_id = rec.table_id;
+      req.key = std::move(rec.key);
+      req.value = std::move(rec.value);
+      req.versioned = rec.versioned;
+      req.recovery_resend = true;
+      if (trace_redo) {
+        fprintf(stderr, "[tc%u] REDO lsn=%llu op=%d t=%u key=%s dc=%u\n",
+                options_.tc_id, (unsigned long long)req.lsn, (int)req.op,
+                req.table_id, req.key.c_str(), dc);
+      }
+      chunk.push_back(std::move(req));
+    }
+    std::vector<std::shared_ptr<OutstandingOp>> ops;
+    ops.reserve(chunk.size());
+    {
+      std::lock_guard<std::mutex> guard(out_mu_);
+      const auto now = std::chrono::steady_clock::now();
+      for (const auto& req : chunk) {
+        auto op = std::make_shared<OutstandingOp>();
+        op->request = req;
+        op->dc = dc;
+        op->needs_seal = false;
+        // Stamp the send time: ResendPass must not judge the batch
+        // stale on its next tick and flood per-op resends while the
+        // batch message is legitimately in flight.
+        op->last_send = now;
+        outstanding_[req.lsn] = op;
+        ops.push_back(std::move(op));
+      }
+    }
+    // Send directly: the per-DC "recovering" gate only holds back the
+    // background resend daemon, not the recovery driver itself.
+    stats_.recovery_resent_ops.fetch_add(chunk.size());
+    stats_.recovery_resend_msgs.fetch_add(1);
+    ClientFor(dc)->SendOperationBatch(chunk);
 
-      const auto deadline =
-          std::chrono::steady_clock::now() +
-          std::chrono::milliseconds(options_.op_timeout_ms);
-      const auto resend_age =
-          std::chrono::milliseconds(options_.resend_interval_ms);
-      auto last_batch_send = std::chrono::steady_clock::now();
-      for (size_t i = 0; i < ops.size(); ++i) {
-        while (!ops[i]->done.WaitFor(std::chrono::milliseconds(
-            std::max<uint32_t>(options_.resend_interval_ms, 10)))) {
-          const auto now = std::chrono::steady_clock::now();
-          if (now > deadline) {
-            std::lock_guard<std::mutex> guard(out_mu_);
-            for (size_t j = i; j < ops.size(); ++j) {
-              outstanding_.erase(ops[j]->request.lsn);
-            }
-            return Status::TimedOut("recovery resend not acknowledged");
-          }
-          // One resend per resend_interval for the whole batch (the
-          // ResendPass contract) — per-op waits must not compound into
-          // several suffix resends inside one interval while the batch
-          // is still legitimately in flight.
-          if (now - last_batch_send < resend_age) continue;
-          // A lost batch (or reply) loses every op it carried: resend the
-          // still-unacknowledged suffix as one message. Ops before the
-          // suffix are complete, so order is preserved; re-executions are
-          // absorbed by the DC's idempotence.
-          std::vector<OperationRequest> again;
-          {
-            std::lock_guard<std::mutex> guard(out_mu_);
-            for (size_t j = i; j < ops.size(); ++j) {
-              if (ops[j]->completed) continue;
-              ops[j]->last_send = now;  // keep ResendPass off this batch
-              again.push_back(ops[j]->request);
-            }
-          }
-          if (again.empty()) continue;  // completed while assembling
-          stats_.resends.fetch_add(1);
-          stats_.recovery_resend_msgs.fetch_add(1);
-          last_batch_send = now;
-          ClientFor(dc)->SendOperationBatch(again);
-        }
-        if (ops[i]->reply.status.IsCrashed()) {
-          // The DC died mid-batch: deregister the unacknowledged
-          // remainder so the resend daemon doesn't hammer the down DC
-          // with orphaned recovery ops nobody awaits. (The failed
-          // recovery will be re-driven from the log.)
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(options_.op_timeout_ms);
+    const auto resend_age =
+        std::chrono::milliseconds(options_.resend_interval_ms);
+    auto last_batch_send = std::chrono::steady_clock::now();
+    for (size_t i = 0; i < ops.size(); ++i) {
+      while (!ops[i]->done.WaitFor(std::chrono::milliseconds(
+          std::max<uint32_t>(options_.resend_interval_ms, 10)))) {
+        const auto now = std::chrono::steady_clock::now();
+        if (now > deadline) {
           std::lock_guard<std::mutex> guard(out_mu_);
-          for (size_t j = i + 1; j < ops.size(); ++j) {
+          for (size_t j = i; j < ops.size(); ++j) {
             outstanding_.erase(ops[j]->request.lsn);
           }
-          return Status::Crashed("dc failed during recovery resend");
+          return Status::TimedOut("recovery resend not acknowledged");
         }
+        // One resend per resend_interval for the whole batch (the
+        // ResendPass contract) — per-op waits must not compound into
+        // several suffix resends inside one interval while the batch is
+        // still legitimately in flight.
+        if (now - last_batch_send < resend_age) continue;
+        // A lost batch (or reply) loses every op it carried: resend the
+        // still-unacknowledged suffix as one message. Ops before the
+        // suffix are complete, so order is preserved; re-executions are
+        // absorbed by the DC's idempotence.
+        std::vector<OperationRequest> again;
+        {
+          std::lock_guard<std::mutex> guard(out_mu_);
+          for (size_t j = i; j < ops.size(); ++j) {
+            if (ops[j]->completed) continue;
+            ops[j]->last_send = now;  // keep ResendPass off this batch
+            again.push_back(ops[j]->request);
+          }
+        }
+        if (again.empty()) continue;  // completed while assembling
+        stats_.resends.fetch_add(1);
+        stats_.recovery_resend_msgs.fetch_add(1);
+        last_batch_send = now;
+        ClientFor(dc)->SendOperationBatch(again);
+      }
+      if (ops[i]->reply.status.IsCrashed()) {
+        // The TC crashed mid-batch: deregister the unacknowledged
+        // remainder so the resend daemon doesn't hammer the DC with
+        // orphaned recovery ops nobody awaits. (The failed recovery will
+        // be re-driven from the log.)
+        std::lock_guard<std::mutex> guard(out_mu_);
+        for (size_t j = i + 1; j < ops.size(); ++j) {
+          outstanding_.erase(ops[j]->request.lsn);
+        }
+        return Status::Crashed("crash during recovery resend");
       }
     }
   }
@@ -1362,8 +1456,10 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
     dc_ready_cv_.notify_all();
   }
 
+  auto stage_start = std::chrono::steady_clock::now();
   AnalysisResult analysis;
   Status s = Analyze(&analysis);
+  stats_.restart_analyze_us.fetch_add(MicrosSince(stage_start));
   if (!s.ok()) return s;
   {
     std::lock_guard<std::mutex> guard(rssp_mu_);
@@ -1374,6 +1470,7 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
   //    stable log end (they are lost forever). Push fresh EOSL/LWM first
   //    so the DC can settle (force) every DC-log batch that is still
   //    eligible before deciding what to discard.
+  stage_start = std::chrono::steady_clock::now();
   PushControls();
   const Lsn stable_end = log_.stable_end();
   std::vector<TcId> escalate;
@@ -1403,9 +1500,11 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
     }
   }
   PushControls();
+  stats_.restart_reset_us.fetch_add(MicrosSince(stage_start));
 
-  // 2. Redo: resend logged operations from the RSSP in LSN order.
-  s = RedoResend(analysis.rssp, /*only_dc=*/0, /*all_dcs=*/true);
+  // 2. Redo: ship the index the analysis scan built from the RSSP — per
+  //    DC in LSN order, one concurrent stream per DC.
+  s = ShipRedo(analysis.redo);
   if (!s.ok()) return s;
 
   // 3. Undo losers with inverse logical operations (CLR-logged).
@@ -1462,12 +1561,14 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
 void TransactionComponent::OnDcCrash(DcId dc) {
   std::lock_guard<std::mutex> guard(out_mu_);
   dc_recovering_[dc] = true;
+  ++dc_gate_closes_;
 }
 
 Status TransactionComponent::OnDcRestart(DcId dc) {
   {
     std::lock_guard<std::mutex> guard(out_mu_);
     dc_recovering_[dc] = true;
+    ++dc_gate_closes_;
   }
   PushControls();
   // Ask the revived DC whether it recovered (or was promoted) with a

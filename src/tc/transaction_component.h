@@ -13,11 +13,13 @@
 // acknowledged, EOSL/LWM pushes, checkpoint (RSSP advancement), restart.
 //
 // Failure model (§5.3): Crash() loses the volatile log tail and all
-// transaction state; Restart() resets each DC (which evicts exactly the
-// pages reflecting lost operations), replays redo by resending logged
-// operations from the RSSP in LSN order, then undoes loser transactions
-// logically. A DC crash is handled by OnDcRestart: redo-resend from the
-// RSSP to that DC, then normal traffic resumes.
+// transaction state; Restart() scans the stable log once (analysis plus
+// the per-DC redo index), resets each DC (which evicts exactly the pages
+// reflecting lost operations), replays redo by resending logged
+// operations from the RSSP in per-DC LSN order — one concurrent stream
+// per DC — then undoes loser transactions logically. A DC crash is
+// handled by OnDcRestart: redo-resend from the RSSP to that DC, then
+// normal traffic resumes.
 #pragma once
 
 #include <atomic>
@@ -27,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -167,6 +170,13 @@ struct TcStats {
   /// Group-commit forcer wakeups triggered on demand by a waiting
   /// committer (vs the periodic interval tick).
   std::atomic<uint64_t> group_commit_wakes{0};
+  /// Restart stage clocks, cumulative microseconds: the analysis scan
+  /// (which also builds the redo index) and the DC resets.
+  std::atomic<uint64_t> restart_analyze_us{0};
+  std::atomic<uint64_t> restart_reset_us{0};
+  /// Wall time spent shipping redo streams, on every redo path (TC
+  /// restart, DC recovery, §6.1.2 escalation).
+  std::atomic<uint64_t> redo_ship_us{0};
 };
 
 struct DcBinding {
@@ -275,7 +285,9 @@ class TransactionComponent {
 
   /// Advances the redo scan start point: force, EOSL, checkpoint each DC,
   /// log a checkpoint record, truncate the log (§4.2 contract
-  /// termination).
+  /// termination). Busy while a DC is down or replaying its redo (or went
+  /// down during the checkpoint): the DC's pages do not yet reflect the
+  /// redo, and truncation could drop records the redo still has to ship.
   Status TakeCheckpoint();
 
   // -- Failures ---------------------------------------------------------------
@@ -309,6 +321,9 @@ class TransactionComponent {
   Lsn low_water_mark() const { return log_.sealed_prefix_end(); }
   Lsn rssp() const;
   const TcStats& stats() const { return stats_; }
+  /// Registered operations still awaiting a DC reply (including recovery
+  /// resends in flight).
+  size_t outstanding_ops();
   LockManagerStats lock_stats() const { return locks_->stats(); }
   StableLog* log() { return &log_; }
   const TcOptions& options() const { return options_; }
@@ -477,22 +492,48 @@ class TransactionComponent {
                                                            std::string>>&
                                    written_keys);
 
-  /// Analysis pass over the stable log (for Restart).
+  /// Per DC, the log indices of its redo records in LSN order (indices
+  /// only — payloads are re-read per batch, so recovery never
+  /// materializes the whole redo stream).
+  using RedoIndex = std::map<DcId, std::vector<uint64_t>>;
+
+  /// The one redo rule, shared by Analyze and RedoResend: the DC that
+  /// `rec` replays at, or nothing if it has no redo effect.
+  std::optional<DcId> RedoTarget(const TcLogRecord& rec) const;
+
+  /// Analysis pass over the stable log (for Restart). The same scan
+  /// builds the redo index from the RSSP, so a restart reads the log once.
   struct AnalysisResult {
     Lsn rssp = 1;
     std::map<TxnId, TxnState> losers;
     std::map<TxnId, std::vector<std::pair<TableId, std::string>>>
         committed_pending_promote;
     std::map<TxnId, std::vector<Lsn>> undone;  // CLR undo_targets per txn
+    RedoIndex redo;
   };
   Status Analyze(AnalysisResult* out);
 
-  /// dc_redo_end != 0 (single-DC resends only): skip ops whose
-  /// DC-acknowledged redo-log position (OperationReply::rlsn, recorded in
-  /// acked_rlsns_) is <= dc_redo_end — the revived DC already holds and
-  /// replayed/applied them, so only the in-flight suffix travels.
+  /// Indexes the redo records from `from_lsn` (routed to `only_dc`
+  /// unless `all_dcs`) and ships them. dc_redo_end != 0 (single-DC
+  /// resends only): skip ops whose DC-acknowledged redo-log position
+  /// (OperationReply::rlsn, recorded in acked_rlsns_) is <= dc_redo_end —
+  /// the revived DC already holds and replayed/applied them, so only the
+  /// in-flight suffix travels.
   Status RedoResend(Lsn from_lsn, DcId only_dc, bool all_dcs,
                     uint64_t dc_redo_end = 0);
+
+  /// Ships every DC's redo stream on its own worker thread and joins
+  /// them; a failing stream does not stop the others. Returns the first
+  /// error in DC order.
+  Status ShipRedo(const RedoIndex& index);
+
+  /// One DC's redo stream: ordered kOperationBatch messages, each awaited
+  /// (with suffix resends) before the next is sent. An unreadable or
+  /// undecodable record fails the stream with Corruption.
+  Status ShipDcRedo(DcId dc, const std::vector<uint64_t>& indices);
+
+  /// True while any DC-recovering gate is closed. Caller holds out_mu_.
+  bool AnyDcRecoveringLocked() const;
 
   TcOptions options_;
   std::vector<DcBinding> dcs_;
@@ -516,6 +557,9 @@ class TransactionComponent {
   /// log. Guarded by out_mu_.
   std::map<DcId, std::map<Lsn, uint64_t>> acked_rlsns_;
   std::map<DcId, bool> dc_recovering_;
+  /// Bumped whenever a DC-recovering gate closes, so a checkpoint can
+  /// tell that a DC went down while it ran.
+  uint64_t dc_gate_closes_ = 0;
   /// Signaled whenever a DC-recovering gate opens (redo finished, crash,
   /// restart): WaitDcReady blocks on this instead of sleep-polling.
   std::condition_variable dc_ready_cv_;
