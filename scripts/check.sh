@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 verify with warnings on: configure, build, ctest.
-# Usage: scripts/check.sh [--asan|--tsan|--socket|--stress N]
+# Usage: scripts/check.sh [--asan|--tsan|--socket|--stress N|--bench-smoke]
 #                         [--filter REGEX] [extra cmake args...]
 #   --asan    build and test under ASan+UBSan (its own build dir), so the
 #             concurrent multi-TC / channel paths are sanitizer-checked.
@@ -16,6 +16,14 @@
 #             -j$(nproc), so load-dependent flakes show up. Every failing
 #             round's output is kept as $BUILD_DIR/stress-logs/round-K.log;
 #             the script exits non-zero if any round failed.
+#   --bench-smoke  no ctest: for every workload BENCHMARK.json names, run
+#             python3 perfbench/run.py --workload W --seed 1 --seconds 1
+#             (it builds its own Release tree under .bench_build/; the
+#             run's stderr goes to .bench_build/smoke-W.log). Exits
+#             non-zero unless every run reports correct: true with 0
+#             failed, i.e. every acknowledged write read back exactly as
+#             the per-key model says. Changes nothing under perfbench/
+#             and ignores --filter.
 #   --filter REGEX  run only the ctest suites matching REGEX (ctest -R),
 #             with any of the modes above, e.g.
 #             scripts/check.sh --tsan --filter recovery_test
@@ -31,13 +39,13 @@ STRESS_ROUNDS=0
 MODE=""
 FILTER=""
 usage() {
-  echo "usage: scripts/check.sh [--asan|--tsan|--socket|--stress N]" \
-    "[--filter REGEX] [cmake args...]" >&2
+  echo "usage: scripts/check.sh [--asan|--tsan|--socket|--stress N" \
+    "|--bench-smoke] [--filter REGEX] [cmake args...]" >&2
   exit 2
 }
 while (( $# > 0 )); do
   case "$1" in
-    --asan|--tsan|--socket)
+    --asan|--tsan|--socket|--bench-smoke)
       MODE="$1"
       shift
       ;;
@@ -57,6 +65,28 @@ while (( $# > 0 )); do
       ;;
   esac
 done
+
+if [[ "$MODE" == "--bench-smoke" ]]; then
+  mkdir -p .bench_build
+  failed=0
+  workloads=$(python3 -c 'import json
+print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+  for w in $workloads; do
+    result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 \
+      2> ".bench_build/smoke-$w.log" | tail -n 1) || true
+    if python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' \
+        "$result" 2> /dev/null; then
+      echo "bench-smoke $w: ok"
+    else
+      failed=$((failed + 1))
+      echo "bench-smoke $w: FAIL (log: .bench_build/smoke-$w.log)"
+      echo "  result: ${result:-<none>}"
+    fi
+  done
+  exit $(( failed > 0 ))
+fi
 
 if [[ "$MODE" == "--socket" ]]; then
   BUILD_DIR="${BUILD_DIR:-build-socket}"

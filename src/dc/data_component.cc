@@ -172,26 +172,30 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
   const bool is_write = IsWriteOp(req.op);
   if (is_write) {
     stats_.writes.fetch_add(1);
-    // Fast idempotence path: a resend of an op whose reply we still have.
-    //
-    // NEVER for recovery resends: a redo stream re-establishes page
-    // state after a regression (DC crash revert, TC-reset page
-    // drop/merge), and the reply cache describes executions against the
-    // PRE-regression state. Worse, LWM pruning erases a cache PREFIX,
-    // so the cache can hold a CLR while the forward op it compensates
-    // is gone — answering the CLR from the cache while the forward op
-    // re-executes resurrects aborted writes. Redo is judged solely by
-    // the page abLSN, which is causally tied to the page content.
-    if (!req.recovery_resend && LookupReply(req.tc_id, req.lsn, &reply)) {
-      stats_.reply_cache_hits.fetch_add(1);
-      reply.was_duplicate = true;
-      return reply;
-    }
   } else {
     stats_.reads.fetch_add(1);
   }
+  // Idempotence: a resend of an op whose reply we still have is answered
+  // from the reply cache (for sentinel-admitted writes, by AdmitWrite).
+  //
+  // NEVER for recovery resends: a redo stream re-establishes page
+  // state after a regression (DC crash revert, TC-reset page
+  // drop/merge), and the reply cache describes executions against the
+  // PRE-regression state. Worse, LWM pruning erases a cache PREFIX,
+  // so the cache can hold a CLR while the forward op it compensates
+  // is gone — answering the CLR from the cache while the forward op
+  // re-executes resurrects aborted writes. Redo is judged solely by
+  // the page abLSN, which is causally tied to the page content.
+  auto answer_cached = [&] {
+    stats_.reply_cache_hits.fetch_add(1);
+    reply.was_duplicate = true;
+    return reply;
+  };
 
   if (req.op == OpType::kCreateTable) {
+    if (!req.recovery_resend && LookupReply(req.tc_id, req.lsn, &reply)) {
+      return answer_cached();
+    }
     reply = DoCreateTable(req);
     MaybeAppendRedo(req, &reply, record_redo, defer_redo_force);
     CacheReply(reply);
@@ -200,6 +204,47 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  // A write holds the conflict sentinel until its reply is cached: a copy
+  // of it (channel duplicate or TC resend) admitted afterwards is answered
+  // from the cache, so it can neither re-execute against a later state
+  // nor hand the TC a reply without the original's undo image.
+  bool admitted = false;
+  struct SentinelRelease {
+    DataComponent* dc;
+    const OperationRequest& req;
+    const bool& admitted;
+    ~SentinelRelease() {
+      if (admitted) dc->ExitSentinel(req);
+    }
+  } release{this, req, admitted};
+  while (is_write && !admitted) {
+    switch (AdmitWrite(req, &reply)) {
+      case Admission::kEnter:
+        admitted = true;
+        break;
+      case Admission::kAnswered:
+        return answer_cached();
+      case Admission::kConflict:
+        stats_.conflicts_detected.fetch_add(1);
+        reply.status = Status::Conflict(
+            "concurrent conflicting operation — TC contract violation");
+        CacheReply(reply);
+        return reply;
+      case Admission::kDuplicateInFlight:
+        // Another copy of this very request is executing: wait for it.
+        if (crashed_.load()) {
+          reply.status = Status::Crashed("dc went down mid-operation");
+          return reply;
+        }
+        if (std::chrono::steady_clock::now() > deadline) {
+          reply.status = Status::TimedOut("duplicate kept executing");
+          return reply;
+        }
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        break;
+    }
+  }
+
   for (;;) {
     if (crashed_.load()) {
       reply.status = Status::Crashed("dc went down mid-operation");
@@ -304,26 +349,11 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
     }
   }
 
-  // Write path. Sentinel first: detects conflicting concurrent sends
-  // (a TC bug) and serializes duplicate resends of the same op.
-  bool duplicate_in_flight = false;
-  if (!EnterSentinel(req, &duplicate_in_flight)) {
-    if (duplicate_in_flight) {
-      out->need_retry = true;
-      reply.status = Status::Busy("duplicate in flight");
-    } else {
-      stats_.conflicts_detected.fetch_add(1);
-      reply.status = Status::Conflict(
-          "concurrent conflicting operation — TC contract violation");
-    }
-    return reply;
-  }
-
+  // Write path; PerformImpl has admitted it through the conflict sentinel.
   Frame* leaf = nullptr;
   Status s = btree_->LocateLeaf(req.table_id, req.key, /*exclusive=*/true,
                                 &leaf);
   if (!s.ok()) {
-    ExitSentinel(req);
     reply.status = s;
     return reply;
   }
@@ -364,7 +394,6 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
     stats_.duplicate_hits.fetch_add(1);
     leaf->latch.UnlockExclusive();
     pool_->Unpin(leaf);
-    ExitSentinel(req);
     reply.status = Status::OK();
     reply.was_duplicate = true;
     return reply;
@@ -376,7 +405,6 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
       req.lsn > leaf->ablsn.MaxCoveredAll()) {
     leaf->latch.UnlockExclusive();
     pool_->Unpin(leaf);
-    ExitSentinel(req);
     out->need_flush_wait = true;
     reply.status = Status::Busy("page flush pending");
     return reply;
@@ -414,7 +442,6 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
   }
   leaf->latch.UnlockExclusive();
   pool_->Unpin(leaf);
-  ExitSentinel(req);
   return reply;
 }
 
@@ -448,6 +475,20 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
   switch (req.op) {
     case OpType::kInsert:
     case OpType::kUpsert: {
+      if (!found && req.op == OpType::kUpsert && req.if_present) {
+        // Refused in-place upsert: a logical no-effect completion, like
+        // NotFound, so the caller records it in the abLSN, the reply
+        // cache and the redo log. The next key is resolved first — an
+        // empty list must mean EOF, never "could not read".
+        if (!NextKeyAfterGap(leaf, slot, &reply.keys)) {
+          out->need_retry = true;
+          reply.status = Status::Busy("next key unreadable");
+          return reply;
+        }
+        reply.status = Status::NotFound("upsert of absent key");
+        reply.absent = true;
+        return reply;
+      }
       if (found && !(rec.is_tombstone() && req.versioned &&
                      rec.last_writer_tc == req.tc_id)) {
         if (req.op == OpType::kInsert && !rec.is_tombstone()) {
@@ -585,6 +626,49 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
       reply.status = Status::InvalidArgument("unknown write op");
       return reply;
   }
+}
+
+bool DataComponent::NextKeyAfterGap(Frame* leaf, uint16_t slot,
+                                    std::vector<std::string>* keys) {
+  SlottedPage page = leaf->Page(pool_->page_size(), pool_->trailer_capacity());
+  Slice next_key;
+  if (slot < page.slot_count()) {
+    LeafRecord::DecodeKey(page.PayloadAt(slot), &next_key);
+    keys->push_back(next_key.ToString());
+    return true;
+  }
+  bool ok = true;
+  Frame* held = nullptr;
+  for (PageId next = page.next_page(); next != kInvalidPageId;) {
+    Frame* frame = nullptr;
+    if (!pool_->Fetch(next, &frame).ok()) {
+      ok = false;
+      break;
+    }
+    frame->latch.LockShared();
+    if (held != nullptr) {
+      held->latch.UnlockShared();
+      pool_->Unpin(held);
+    }
+    held = frame;
+    if (frame->retired) {
+      ok = false;
+      break;
+    }
+    SlottedPage sibling =
+        frame->Page(pool_->page_size(), pool_->trailer_capacity());
+    if (sibling.slot_count() > 0) {
+      LeafRecord::DecodeKey(sibling.PayloadAt(0), &next_key);
+      keys->push_back(next_key.ToString());
+      break;
+    }
+    next = sibling.next_page();
+  }
+  if (held != nullptr) {
+    held->latch.UnlockShared();
+    pool_->Unpin(held);
+  }
+  return ok;
 }
 
 OperationReply DataComponent::DoRead(const OperationRequest& req) {
@@ -1553,18 +1637,23 @@ void DataComponent::PruneReplies(TcId tc, Lsn lwm) {
   per_lsn.erase(per_lsn.begin(), per_lsn.upper_bound(lwm));
 }
 
-bool DataComponent::EnterSentinel(const OperationRequest& req,
-                                  bool* duplicate_in_flight) {
-  *duplicate_in_flight = false;
-  if (!options_.conflict_sentinel) return true;
+DataComponent::Admission DataComponent::AdmitWrite(
+    const OperationRequest& req, OperationReply* cached) {
+  if (!options_.conflict_sentinel) {
+    return !req.recovery_resend && LookupReply(req.tc_id, req.lsn, cached)
+               ? Admission::kAnswered
+               : Admission::kEnter;
+  }
   std::lock_guard<std::mutex> guard(sentinel_mu_);
+  if (!req.recovery_resend && LookupReply(req.tc_id, req.lsn, cached)) {
+    return Admission::kAnswered;
+  }
   const std::string key = SentinelKey(req.table_id, req.key);
   auto [it, inserted] = in_flight_.try_emplace(key, req.tc_id, req.lsn);
-  if (inserted) return true;
-  if (it->second == std::make_pair(req.tc_id, req.lsn)) {
-    *duplicate_in_flight = true;  // a resend racing the original
-  }
-  return false;
+  if (inserted) return Admission::kEnter;
+  return it->second == std::make_pair(req.tc_id, req.lsn)
+             ? Admission::kDuplicateInFlight
+             : Admission::kConflict;
 }
 
 void DataComponent::ExitSentinel(const OperationRequest& req) {

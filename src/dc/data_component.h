@@ -310,6 +310,13 @@ class DataComponent : public DcService {
   OperationReply ApplyWriteOnLeaf(const OperationRequest& req, Frame* leaf,
                                   ApplyOutcome* out);
 
+  /// The first key after the gap at `slot` of the exclusively latched
+  /// `leaf`, appended to `keys` (nothing appended = EOF). Walks right
+  /// siblings, latch-coupled left to right, only when the gap ends at the
+  /// leaf's end. False if a sibling could not be read (retry the op).
+  bool NextKeyAfterGap(Frame* leaf, uint16_t slot,
+                       std::vector<std::string>* keys);
+
   Status DoTcCheckpoint(TcId tc, Lsn new_rssp);
   Status DoDcCheckpoint();
   /// TC-crash reset (§5.3.2). Fills `escalate` even when it fails. A
@@ -328,8 +335,14 @@ class DataComponent : public DcService {
   bool LookupReply(TcId tc, Lsn lsn, OperationReply* out);
   void PruneReplies(TcId tc, Lsn lwm);
 
-  // Conflict sentinel.
-  bool EnterSentinel(const OperationRequest& req, bool* duplicate_in_flight);
+  // Conflict sentinel. A write holds it from admission until its reply
+  // is cached, so a copy of the write admitted later finds that reply.
+  enum class Admission { kEnter, kAnswered, kDuplicateInFlight, kConflict };
+  /// kAnswered (with the reply in *cached) when the reply cache already
+  /// holds this request's reply; checked under the sentinel lock, so a
+  /// late copy of a finished write is never re-executed. Recovery
+  /// resends skip the cache (see PerformImpl).
+  Admission AdmitWrite(const OperationRequest& req, OperationReply* cached);
   void ExitSentinel(const OperationRequest& req);
 
   StableStore* store_;

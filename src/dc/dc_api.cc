@@ -17,7 +17,8 @@ void OperationRequest::EncodeTo(std::string* dst) const {
   PutLengthPrefixedSlice(dst, end_key);
   dst->push_back(static_cast<char>((versioned ? 1 : 0) |
                                    (recovery_resend ? 2 : 0) |
-                                   (exclusive_start ? 4 : 0)));
+                                   (exclusive_start ? 4 : 0) |
+                                   (if_present ? 8 : 0)));
 }
 
 bool OperationRequest::DecodeFrom(Slice* input, OperationRequest* out) {
@@ -50,6 +51,7 @@ bool OperationRequest::DecodeFrom(Slice* input, OperationRequest* out) {
   out->versioned = (flags & 1) != 0;
   out->recovery_resend = (flags & 2) != 0;
   out->exclusive_start = (flags & 4) != 0;
+  out->if_present = (flags & 8) != 0;
   return true;
 }
 
@@ -60,7 +62,8 @@ void OperationReply::EncodeTo(std::string* dst) const {
   PutLengthPrefixedSlice(dst, status.message());
   PutLengthPrefixedSlice(dst, value);
   dst->push_back(static_cast<char>((has_before ? 1 : 0) |
-                                   (was_duplicate ? 2 : 0)));
+                                   (was_duplicate ? 2 : 0) |
+                                   (absent ? 4 : 0)));
   PutVarint32(dst, static_cast<uint32_t>(keys.size()));
   for (const auto& k : keys) PutLengthPrefixedSlice(dst, k);
   PutVarint32(dst, static_cast<uint32_t>(values.size()));
@@ -107,6 +110,7 @@ bool OperationReply::DecodeFrom(Slice* input, OperationReply* out) {
   out->value = value.ToString();
   out->has_before = (flags & 1) != 0;
   out->was_duplicate = (flags & 2) != 0;
+  out->absent = (flags & 4) != 0;
   return true;
 }
 

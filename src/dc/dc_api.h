@@ -41,6 +41,11 @@ struct OperationRequest {
   /// kProbeNext / kScanRange: `key` itself is excluded from the result —
   /// the resume discipline of streamed / windowed scans.
   bool exclusive_start = false;
+  /// kUpsert: apply only if the key is physically present (a tombstone
+  /// counts). An absent key is refused with OperationReply::absent and
+  /// the gap's next key, so the TC can lock the gap before a plain
+  /// upsert creates the key (§3.1 fetch-ahead phantom protection).
+  bool if_present = false;
 
   void EncodeTo(std::string* dst) const;
   static bool DecodeFrom(Slice* input, OperationRequest* out);
@@ -58,6 +63,9 @@ struct OperationReply {
   /// True if the DC detected the request as already applied (idempotence
   /// hit) rather than executing it now. Diagnostic only.
   bool was_duplicate = false;
+  /// An if_present upsert found no record: nothing was applied, status is
+  /// NotFound, and `keys` holds the next key after the gap (empty = EOF).
+  bool absent = false;
   /// kProbeNext / kScanRange results.
   std::vector<std::string> keys;
   std::vector<std::string> values;

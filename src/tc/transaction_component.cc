@@ -490,37 +490,42 @@ void TransactionComponent::HarvestReply(
   auto& pending = it->second.pending_ops;
   pending.erase(std::remove(pending.begin(), pending.end(), op),
                 pending.end());
-  const OperationReply& reply = op->reply;
-  if (!reply.status.ok() || !IsWriteOp(op->request.op) ||
-      op->record_type != TcLogRecordType::kOperation) {
+  FoldReplyLocked(&it->second, *op);
+}
+
+void TransactionComponent::FoldReplyLocked(TxnState* state,
+                                           const OutstandingOp& op) {
+  const OperationReply& reply = op.reply;
+  if (!reply.status.ok() || !IsWriteOp(op.request.op) ||
+      op.record_type != TcLogRecordType::kOperation) {
     return;
   }
-  const TableId table = op->request.table_id;
-  const std::string& key = op->request.key;
-  switch (op->request.op) {
+  const TableId table = op.request.table_id;
+  const std::string& key = op.request.key;
+  switch (op.request.op) {
     case OpType::kInsert:
-      it->second.undo_chain.push_back(
+      state->undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kInsert, table, key, "", false});
       break;
     case OpType::kUpdate:
-      it->second.undo_chain.push_back(
+      state->undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kUpdate, table, key, reply.value,
                     true});
       break;
     case OpType::kDelete:
-      it->second.undo_chain.push_back(
+      state->undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kDelete, table, key, reply.value,
                     true});
       break;
     case OpType::kUpsert:
-      it->second.undo_chain.push_back(
+      state->undo_chain.push_back(
           UndoEntry{reply.lsn, OpType::kUpsert, table, key, reply.value,
                     reply.has_before});
       break;
     default:
       return;  // version/DDL ops carry no logical undo
   }
-  it->second.written_keys.emplace_back(table, key);
+  state->written_keys.emplace_back(table, key);
 }
 
 StatusOr<OperationReply> TransactionComponent::ExecuteOp(
@@ -557,17 +562,22 @@ Status TransactionComponent::LockForWrite(TxnId txn, TableId table,
     stats_.probes.fetch_add(1);
     StatusOr<OperationReply> reply = ExecuteOp(probe, txn);
     if (!reply.ok()) return reply.status();
-    std::string next_name = TableEofLockName(table);
-    for (const auto& k : reply->keys) {
-      if (k != key) {
-        next_name = RecordLockName(table, k);
-        break;
-      }
-    }
-    s = locks_->LockInstant(txn, next_name, LockMode::kExclusive);
-    if (!s.ok()) return s;
+    return LockGap(txn, table, key, reply->keys);
   }
   return Status::OK();
+}
+
+Status TransactionComponent::LockGap(TxnId txn, TableId table,
+                                     const std::string& key,
+                                     const std::vector<std::string>& keys) {
+  std::string next_name = TableEofLockName(table);
+  for (const auto& k : keys) {
+    if (k != key) {
+      next_name = RecordLockName(table, k);
+      break;
+    }
+  }
+  return locks_->LockInstant(txn, next_name, LockMode::kExclusive);
 }
 
 Status TransactionComponent::LockForRead(TxnId txn, TableId table,
@@ -667,20 +677,57 @@ TransactionComponent::OpHandle TransactionComponent::SubmitDelete(
 TransactionComponent::OpHandle TransactionComponent::SubmitUpsert(
     TxnId txn, TableId table, const std::string& key,
     const std::string& value) {
-  OpHandle handle;
-  Status s = LockForWrite(txn, table, key, /*is_insert=*/true);
-  if (!s.ok()) {
-    if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
-    handle.submit_status_ = s;
-    return handle;
-  }
+  // Under fetch-ahead phantom protection an upsert first tries the key in
+  // place: a present key changes no key range, so its X lock covers the
+  // write and that one round trip is the whole upsert. Only an absent
+  // key pays the gap lock, taken from the refusal's next key.
+  const bool in_place =
+      options_.insert_phantom_protection &&
+      options_.range_protocol == RangeLockProtocol::kFetchAhead;
+  // The in-place attempt needs only the key's own X lock.
+  Status s = LockForWrite(txn, table, key, /*is_insert=*/!in_place);
   OperationRequest req;
   req.op = OpType::kUpsert;
   req.table_id = table;
   req.key = key;
   req.value = value;
   req.versioned = options_.versioning;
+  if (s.ok() && in_place) {
+    OperationRequest attempt = req;
+    attempt.if_present = true;
+    OpHandle tried = SubmitLocked(txn, std::move(attempt));
+    if (!tried.op_) return tried;
+    StatusOr<OperationReply> reply = AwaitOp(tried.op_);
+    // Applied, failed or timed out: the caller's Await reports it.
+    if (!reply.ok() || !reply->absent) return tried;
+    stats_.probes.fetch_add(1);
+    DropRefusedAttempt(tried.op_);
+    s = LockGap(txn, table, key, reply->keys);
+  }
+  if (!s.ok()) {
+    if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
+    OpHandle handle;
+    handle.submit_status_ = s;
+    return handle;
+  }
   return SubmitLocked(txn, std::move(req));
+}
+
+void TransactionComponent::DropRefusedAttempt(
+    const std::shared_ptr<OutstandingOp>& op) {
+  std::lock_guard<std::mutex> guard(txn_mu_);
+  op->harvested = true;  // a refusal carries no undo
+  auto it = txns_.find(op->txn);
+  if (it == txns_.end()) return;
+  auto& pending = it->second.pending_ops;
+  // The attempt was the submitter's latest op, so it sits at the back
+  // unless another thread submitted to the same txn meanwhile.
+  if (!pending.empty() && pending.back() == op) {
+    pending.pop_back();
+    return;
+  }
+  auto pos = std::find(pending.begin(), pending.end(), op);
+  if (pos != pending.end()) pending.erase(pos);
 }
 
 Status TransactionComponent::Await(OpHandle* handle, std::string* value) {
@@ -711,10 +758,33 @@ Status TransactionComponent::AwaitAll(TxnId txn) {
   Status first;
   for (const auto& op : pending) {
     StatusOr<OperationReply> reply = AwaitOp(op);
-    HarvestReply(op);
     const Status s = reply.ok() ? reply->status : reply.status();
     if (first.ok() && !s.ok()) first = s;
   }
+  // Harvest in one pass: fold every completed reply, then compact the
+  // pending list once. Ops that did not complete stay pending for Abort.
+  std::vector<bool> completed(pending.size());
+  {
+    std::lock_guard<std::mutex> guard(out_mu_);
+    for (size_t i = 0; i < pending.size(); ++i) {
+      completed[i] = pending[i]->completed;
+    }
+  }
+  std::lock_guard<std::mutex> guard(txn_mu_);
+  auto it = txns_.find(txn);
+  if (it == txns_.end()) return first;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    OutstandingOp& op = *pending[i];
+    if (!completed[i] || op.harvested) continue;
+    op.harvested = true;
+    FoldReplyLocked(&it->second, op);
+  }
+  auto& list = it->second.pending_ops;
+  list.erase(std::remove_if(list.begin(), list.end(),
+                            [](const std::shared_ptr<OutstandingOp>& op) {
+                              return op->harvested;
+                            }),
+             list.end());
   return first;
 }
 

@@ -108,8 +108,12 @@ struct TcOptions {
   /// credit × chunk size for arbitrarily large scans. The DC rejects a
   /// zero window with InvalidArgument.
   uint32_t scan_credit_chunks = 4;
-  /// Fetch-ahead protocol: inserts probe and instant-lock the next key so
-  /// serializable scans are phantom-safe. Costs one probe per insert.
+  /// Fetch-ahead protocol: a write that may create a key instant-locks
+  /// the next key first, so serializable scans are phantom-safe. An
+  /// insert probes the gap, then writes: 2 DC round trips. An upsert
+  /// tries the key in place: 1 trip when it is present, and 2 when it is
+  /// absent (the DC refuses and names the next key, then the plain
+  /// upsert follows). Off: every write is 1 trip.
   bool insert_phantom_protection = true;
   bool group_commit = false;
   /// Idle backstop cadence of the group-commit forcer (clamped to >=
@@ -130,6 +134,8 @@ struct TcStats {
   std::atomic<uint64_t> resends{0};
   std::atomic<uint64_t> recoveries{0};
   std::atomic<uint64_t> checkpoints{0};
+  /// Gap round trips: insert probes plus refused in-place upserts (an
+  /// upsert answered in place is not one).
   std::atomic<uint64_t> probes{0};
   /// Replies the DC answered from its idempotence machinery instead of
   /// executing (OperationReply::was_duplicate) — resend/duplication cost.
@@ -254,6 +260,9 @@ class TransactionComponent {
   OpHandle SubmitUpdate(TxnId txn, TableId table, const std::string& key,
                         const std::string& value);
   OpHandle SubmitDelete(TxnId txn, TableId table, const std::string& key);
+  /// Under fetch-ahead phantom protection an upsert waits for one DC
+  /// round trip: it is tried in place, and only an absent key's refusal
+  /// leads to a gap lock and a plain upsert (see insert_phantom_protection).
   OpHandle SubmitUpsert(TxnId txn, TableId table, const std::string& key,
                         const std::string& value);
 
@@ -387,6 +396,14 @@ class TransactionComponent {
   /// txn's pending list.
   void HarvestReply(const std::shared_ptr<OutstandingOp>& op);
 
+  /// Folds a completed op's write reply into `state` (undo chain and
+  /// written keys). Caller holds txn_mu_ and has marked op harvested.
+  void FoldReplyLocked(TxnState* state, const OutstandingOp& op);
+
+  /// Drops a refused if_present upsert from its txn's pending list (in
+  /// O(1): it is the latest submit) and marks it harvested.
+  void DropRefusedAttempt(const std::shared_ptr<OutstandingOp>& op);
+
   /// A conflicting pipelined submit must wait for in-flight ops on the
   /// same key before dispatch (the §1.2 contract). False if a predecessor
   /// never completed within the op timeout.
@@ -484,6 +501,10 @@ class TransactionComponent {
 
   Status LockForWrite(TxnId txn, TableId table, const std::string& key,
                       bool is_insert);
+  /// Instant-locks the first of `keys` other than `key` (the table's EOF
+  /// sentinel if there is none): the next-key lock of §3.1 for a gap.
+  Status LockGap(TxnId txn, TableId table, const std::string& key,
+                 const std::vector<std::string>& keys);
   Status LockForRead(TxnId txn, TableId table, const std::string& key);
 
   Status UndoTxnLocked(TxnState* state);

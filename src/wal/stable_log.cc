@@ -234,13 +234,16 @@ void StableLog::Clear() {
 }
 
 void StableLog::TruncatePrefix(uint64_t index) {
+  std::vector<std::string> dropped;  // freed after the lock is released
   std::lock_guard<std::mutex> guard(mu_);
   if (index <= base_) return;
   // Never truncate into the volatile region.
   if (index > stable_end_) index = stable_end_;
-  records_.erase(records_.begin(),
-                 records_.begin() + static_cast<ptrdiff_t>(index - base_));
-  base_ = index;
+  dropped.reserve(index - base_);
+  for (; base_ < index; ++base_) {
+    dropped.push_back(std::move(records_.front().payload));
+    records_.pop_front();
+  }
   PersistTruncateLocked(index);
 }
 

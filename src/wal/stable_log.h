@@ -19,6 +19,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -85,7 +86,8 @@ class StableLog {
   void Clear();
 
   /// Logically discards records before `index` (checkpoint truncation).
-  /// Indices of surviving records are unchanged.
+  /// Indices of surviving records are unchanged. The dropped payloads are
+  /// freed after mu_ is released, so appenders and forcers do not stall.
   void TruncatePrefix(uint64_t index);
   uint64_t truncated_prefix() const;
 
@@ -112,7 +114,9 @@ class StableLog {
   std::FILE* file_ = nullptr;
   mutable std::mutex mu_;
   std::condition_variable stable_cv_;
-  std::vector<Record> records_;  // records_[i] is log index base_ + i
+  /// records_[i] is log index base_ + i. A deque, so truncating the
+  /// front never shifts the retained records under mu_.
+  std::deque<Record> records_;
   uint64_t base_ = 0;            // first retained index
   uint64_t stable_end_ = 0;
   uint64_t bytes_appended_ = 0;

@@ -37,6 +37,8 @@ TEST(BatchWireTest, BatchRoundTrip) {
   batch.ops.push_back(MakeOp(OpType::kScanRange, 9, "c", ""));
   batch.ops.back().end_key = "z";
   batch.ops.back().limit = 42;
+  batch.ops.push_back(MakeOp(OpType::kUpsert, 10, "d", "vd"));
+  batch.ops.back().if_present = true;
 
   std::string buf;
   batch.EncodeTo(&buf);
@@ -44,7 +46,7 @@ TEST(BatchWireTest, BatchRoundTrip) {
   OperationBatch out;
   ASSERT_TRUE(OperationBatch::DecodeFrom(&in, &out));
   EXPECT_TRUE(in.empty());
-  ASSERT_EQ(out.ops.size(), 3u);
+  ASSERT_EQ(out.ops.size(), 4u);
   EXPECT_EQ(out.ops[0].op, OpType::kInsert);
   EXPECT_EQ(out.ops[0].lsn, 7u);
   EXPECT_EQ(out.ops[0].key, "a");
@@ -52,6 +54,10 @@ TEST(BatchWireTest, BatchRoundTrip) {
   EXPECT_EQ(out.ops[1].read_flavor, ReadFlavor::kReadCommitted);
   EXPECT_EQ(out.ops[2].end_key, "z");
   EXPECT_EQ(out.ops[2].limit, 42u);
+  // The in-place upsert flag stays on its own op.
+  EXPECT_EQ(out.ops[3].op, OpType::kUpsert);
+  EXPECT_TRUE(out.ops[3].if_present);
+  for (int i = 0; i < 3; ++i) EXPECT_FALSE(out.ops[i].if_present) << i;
 }
 
 TEST(BatchWireTest, EmptyBatchRoundTrip) {
@@ -79,6 +85,13 @@ TEST(BatchWireTest, BatchReplyRoundTrip) {
   r2.status = Status::NotFound("missing");
   r2.was_duplicate = true;
   batch.replies.push_back(r2);
+  OperationReply r3;
+  r3.tc_id = 1;
+  r3.lsn = 9;
+  r3.status = Status::NotFound("upsert of absent key");
+  r3.absent = true;
+  r3.keys = {"k9"};
+  batch.replies.push_back(r3);
 
   std::string buf;
   batch.EncodeTo(&buf);
@@ -86,12 +99,19 @@ TEST(BatchWireTest, BatchReplyRoundTrip) {
   OperationBatchReply out;
   ASSERT_TRUE(OperationBatchReply::DecodeFrom(&in, &out));
   EXPECT_TRUE(in.empty());
-  ASSERT_EQ(out.replies.size(), 2u);
+  ASSERT_EQ(out.replies.size(), 3u);
   EXPECT_TRUE(out.replies[0].status.ok());
   EXPECT_EQ(out.replies[0].value, "before");
   EXPECT_TRUE(out.replies[0].has_before);
   EXPECT_TRUE(out.replies[1].status.IsNotFound());
   EXPECT_TRUE(out.replies[1].was_duplicate);
+  // A refusal keeps its flag and the gap's next key; the others have none.
+  EXPECT_FALSE(out.replies[0].absent);
+  EXPECT_FALSE(out.replies[1].absent);
+  EXPECT_TRUE(out.replies[2].status.IsNotFound());
+  EXPECT_TRUE(out.replies[2].absent);
+  EXPECT_FALSE(out.replies[2].was_duplicate);
+  EXPECT_EQ(out.replies[2].keys, (std::vector<std::string>{"k9"}));
 }
 
 TEST(BatchWireTest, BatchDecodeRejectsTruncation) {

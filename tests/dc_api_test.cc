@@ -20,6 +20,7 @@ TEST(DcApiTest, OperationRequestRoundTrip) {
   req.end_key = "user:9999";
   req.versioned = true;
   req.recovery_resend = true;
+  req.if_present = true;
 
   std::string buf;
   req.EncodeTo(&buf);
@@ -37,6 +38,8 @@ TEST(DcApiTest, OperationRequestRoundTrip) {
   EXPECT_EQ(out.end_key, req.end_key);
   EXPECT_EQ(out.versioned, req.versioned);
   EXPECT_EQ(out.recovery_resend, req.recovery_resend);
+  EXPECT_FALSE(out.exclusive_start);
+  EXPECT_TRUE(out.if_present);
   EXPECT_TRUE(in.empty());
 }
 
@@ -48,6 +51,7 @@ TEST(DcApiTest, OperationReplyRoundTrip) {
   reply.value = "before-image";
   reply.has_before = true;
   reply.was_duplicate = true;
+  reply.absent = true;
   reply.keys = {"a", "b", "c"};
   reply.values = {"1", "2"};
 
@@ -63,8 +67,49 @@ TEST(DcApiTest, OperationReplyRoundTrip) {
   EXPECT_EQ(out.value, reply.value);
   EXPECT_TRUE(out.has_before);
   EXPECT_TRUE(out.was_duplicate);
+  EXPECT_TRUE(out.absent);
   EXPECT_EQ(out.keys, reply.keys);
   EXPECT_EQ(out.values, reply.values);
+}
+
+// Every flag bit survives the codec alone and in any combination with
+// the others, so no two flags share a bit.
+TEST(DcApiTest, FlagBitsRoundTripIndependently) {
+  for (int mask = 0; mask < 16; ++mask) {
+    OperationRequest req;
+    req.op = OpType::kUpsert;
+    req.key = "k";
+    req.versioned = (mask & 1) != 0;
+    req.recovery_resend = (mask & 2) != 0;
+    req.exclusive_start = (mask & 4) != 0;
+    req.if_present = (mask & 8) != 0;
+    std::string buf;
+    req.EncodeTo(&buf);
+    Slice in(buf);
+    OperationRequest out;
+    ASSERT_TRUE(OperationRequest::DecodeFrom(&in, &out)) << mask;
+    EXPECT_EQ(out.versioned, req.versioned) << mask;
+    EXPECT_EQ(out.recovery_resend, req.recovery_resend) << mask;
+    EXPECT_EQ(out.exclusive_start, req.exclusive_start) << mask;
+    EXPECT_EQ(out.if_present, req.if_present) << mask;
+  }
+  for (int mask = 0; mask < 8; ++mask) {
+    OperationReply reply;
+    reply.status = Status::NotFound("upsert of absent key");
+    reply.has_before = (mask & 1) != 0;
+    reply.was_duplicate = (mask & 2) != 0;
+    reply.absent = (mask & 4) != 0;
+    reply.keys = {"next"};
+    std::string buf;
+    reply.EncodeTo(&buf);
+    Slice in(buf);
+    OperationReply out;
+    ASSERT_TRUE(OperationReply::DecodeFrom(&in, &out)) << mask;
+    EXPECT_EQ(out.has_before, reply.has_before) << mask;
+    EXPECT_EQ(out.was_duplicate, reply.was_duplicate) << mask;
+    EXPECT_EQ(out.absent, reply.absent) << mask;
+    EXPECT_EQ(out.keys, reply.keys) << mask;
+  }
 }
 
 TEST(DcApiTest, ControlRoundTrip) {

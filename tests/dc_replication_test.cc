@@ -362,6 +362,51 @@ TEST(DcReplicationTest, FailoverIsSuffixOnlyAndStateMatches) {
   EXPECT_EQ(SnapshotState(cluster.get()), model);
 }
 
+// A txn whose in-place upsert of an absent key is refused, and which
+// then aborts without writing the key (its gap lock timed out). The
+// refusal sits in the redo log; replica apply and local replay must
+// refuse it again, so the key stays absent after the failover and after
+// a crash and local recovery of the promoted DC.
+TEST(DcReplicationTest, RefusedUpsertReplaysAsRefusal) {
+  ClusterOptions options = ReplicatedOptions(1);
+  options.tcs[0].options.insert_phantom_protection = true;
+  options.tcs[0].options.locks.wait_timeout_ms = 200;
+  auto cluster = std::move(Cluster::Open(options)).ValueOrDie();
+  TransactionComponent* tc = cluster->tc(0);
+  constexpr int kDc = kTableB % 2;  // the default router: table % num_dcs
+  ASSERT_TRUE(tc->CreateTable(kTableA).ok());
+  ASSERT_TRUE(tc->CreateTable(kTableB).ok());
+  {
+    StatusOr<TxnId> txn = tc->Begin();
+    ASSERT_TRUE(txn.ok());
+    ASSERT_TRUE(tc->Upsert(*txn, kTableB, Key(10), "fence").ok());
+    ASSERT_TRUE(tc->Commit(*txn).ok());
+  }
+  // The reader's S lock on Key(10) is the gap lock Key(5)'s upsert needs.
+  StatusOr<TxnId> reader = tc->Begin();
+  ASSERT_TRUE(reader.ok());
+  std::string value;
+  ASSERT_TRUE(tc->Read(*reader, kTableB, Key(10), &value).ok());
+  StatusOr<TxnId> writer = tc->Begin();
+  ASSERT_TRUE(writer.ok());
+  const uint64_t probes = tc->stats().probes.load();
+  EXPECT_TRUE(tc->Upsert(*writer, kTableB, Key(5), "ghost").IsTimedOut());
+  EXPECT_EQ(tc->stats().probes.load(), probes + 1) << "no refusal happened";
+  ASSERT_TRUE(tc->Abort(*writer).ok());
+  ASSERT_TRUE(tc->Commit(*reader).ok());
+
+  const Model model = {{{kTableB, Key(10)}, "fence"}};
+  EXPECT_EQ(SnapshotState(cluster.get()), model);
+  ASSERT_TRUE(WaitFor([&] { return cluster->ReplicaLag(kDc) == 0; }));
+  cluster->CrashDc(kDc);
+  ASSERT_TRUE(cluster->FailoverDc(kDc).ok());
+  EXPECT_EQ(SnapshotState(cluster.get()), model) << "after failover";
+  cluster->CrashDc(kDc);
+  ASSERT_TRUE(cluster->RecoverDc(kDc).ok());
+  EXPECT_GT(cluster->dc(kDc)->stats().local_recovery_ops.load(), 0u);
+  EXPECT_EQ(SnapshotState(cluster.get()), model) << "after local recovery";
+}
+
 TEST(DcReplicationTest, ReplicaCrashMidCatchUpRecoversAndDrains) {
   auto cluster = std::move(Cluster::Open(ReplicatedOptions(1))).ValueOrDie();
   TransactionComponent* tc = cluster->tc(0);

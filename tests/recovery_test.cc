@@ -567,7 +567,8 @@ INSTANTIATE_TEST_SUITE_P(Transports, ConcurrentRedoTest,
                          });
 
 /// Direct bindings whose client runs a hook before every recovery batch
-/// it sends: a deterministic fault point inside one DC's redo stream.
+/// it sends (a deterministic fault point inside one DC's redo stream),
+/// and shows every single-op send to an observer.
 class HookedDirectBinding : public BoundTransport {
  public:
   explicit HookedDirectBinding(DataComponent* target) : client_(target) {}
@@ -577,12 +578,17 @@ class HookedDirectBinding : public BoundTransport {
   class Client : public DirectDcClient {
    public:
     using DirectDcClient::DirectDcClient;
+    void SendOperation(const OperationRequest& req) override {
+      if (on_send) on_send(req);
+      DirectDcClient::SendOperation(req);
+    }
     void SendOperationBatch(
         const std::vector<OperationRequest>& reqs) override {
       if (!reqs.empty() && reqs.front().recovery_resend && hook) hook();
       DirectDcClient::SendOperationBatch(reqs);
     }
     std::function<void()> hook;
+    std::function<void(const OperationRequest&)> on_send;
   };
   Client client_;
 };
@@ -655,6 +661,73 @@ TEST(ConcurrentRedoFaultTest, DcCrashMidRedoFailsOnlyItsStream) {
   ASSERT_TRUE(cluster->RecoverDc(kVictim).ok());
   ASSERT_TRUE(cluster->RestartTc(0).ok());
   fixture.ExpectCommittedStateOnly();
+}
+
+// ---- Refused in-place upserts -------------------------------------------------
+
+// A refused in-place upsert is a completed no-op, so a late duplicate of
+// it must never apply — not after the txn's later write of the key, and
+// not after the commit. The reply cache answers it first; once the LWM
+// prunes the cache, the page abLSN does.
+TEST(RefusedUpsertTest, LateDuplicateNeverApplies) {
+  ClusterOptions options;
+  options.num_dcs = 1;
+  options.transport = TransportKind::kDirect;
+  options.store.page_size = 1024;
+  options.store.trailer_capacity = 128;
+  options.dc.max_value_size = 200;
+  TcSpec spec;
+  spec.options.start_daemons = false;  // the test pushes the LWM itself
+  options.tcs.push_back(spec);
+  auto factory = std::make_shared<HookedDirectFactory>();
+  options.binding_factory = factory;
+  auto cluster = std::move(Cluster::Open(options)).ValueOrDie();
+  TransactionComponent* tc = cluster->tc(0);
+  DataComponent* dc = cluster->dc(0);
+  ASSERT_TRUE(tc->CreateTable(kTable).ok());
+
+  std::vector<OperationRequest> attempts;
+  factory->clients.at(0)->on_send = [&](const OperationRequest& req) {
+    if (req.if_present) attempts.push_back(req);
+  };
+  StatusOr<TxnId> txn = tc->Begin();
+  ASSERT_TRUE(txn.ok());
+  // Absent: refused, then a plain upsert. Present: applied in place.
+  ASSERT_TRUE(tc->Upsert(*txn, kTable, Key(5), "first").ok());
+  ASSERT_TRUE(tc->Upsert(*txn, kTable, Key(5), "second").ok());
+  factory->clients.at(0)->on_send = nullptr;
+  ASSERT_EQ(attempts.size(), 2u);
+  const OperationRequest refused = attempts[0];
+
+  auto value = [&] {
+    std::string v;
+    Status s = tc->ReadShared(kTable, Key(5), ReadFlavor::kDirty, &v);
+    return s.ok() ? v : s.ToString();
+  };
+  auto redeliver = [&] {
+    OperationReply reply = dc->Perform(refused);
+    EXPECT_TRUE(reply.was_duplicate);
+    return reply;
+  };
+
+  uint64_t cache_hits = dc->stats().reply_cache_hits.load();
+  OperationReply dup = redeliver();
+  EXPECT_TRUE(dup.absent);
+  EXPECT_TRUE(dup.status.IsNotFound());
+  EXPECT_EQ(dc->stats().reply_cache_hits.load(), cache_hits + 1);
+  EXPECT_EQ(value(), "second");
+
+  ASSERT_TRUE(tc->Commit(*txn).ok());
+  redeliver();
+  EXPECT_EQ(value(), "second");
+
+  tc->PushControls();  // the LWM passes the refusal: its reply is pruned
+  cache_hits = dc->stats().reply_cache_hits.load();
+  const uint64_t covered = dc->stats().duplicate_hits.load();
+  redeliver();
+  EXPECT_EQ(dc->stats().reply_cache_hits.load(), cache_hits);
+  EXPECT_EQ(dc->stats().duplicate_hits.load(), covered + 1);
+  EXPECT_EQ(value(), "second");
 }
 
 // ---- Checkpoints against DC recovery -----------------------------------------

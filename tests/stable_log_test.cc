@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
 #include <thread>
 
@@ -113,6 +114,36 @@ TEST(StableLogTest, TruncateNeverEntersVolatileRegion) {
   std::string out;
   ASSERT_TRUE(log.ReadAt(1, &out).ok());
   EXPECT_EQ(out, "b");
+}
+
+// Checkpoint truncation races appenders and forcers: every record at or
+// past the truncation point stays readable under its original index.
+TEST(StableLogTest, TruncateWhileAppending) {
+  StableLog log;
+  constexpr uint64_t kRecords = 20000;
+  std::atomic<bool> done{false};
+  std::thread appender([&] {
+    for (uint64_t i = 0; i < kRecords; ++i) {
+      const uint64_t index = log.Reserve();
+      log.Seal(index, std::to_string(index));
+      if (i % 64 == 0) log.Force();
+    }
+    log.Force();
+    done.store(true);
+  });
+  uint64_t truncations = 0;
+  while (!done.load()) {
+    log.TruncatePrefix(log.stable_end());
+    ++truncations;
+  }
+  appender.join();
+  EXPECT_GT(truncations, 0u);
+  EXPECT_EQ(log.total_end(), kRecords);
+  std::string out;
+  for (uint64_t i = log.truncated_prefix(); i < kRecords; ++i) {
+    ASSERT_TRUE(log.ReadAt(i, &out).ok()) << i;
+    EXPECT_EQ(out, std::to_string(i));
+  }
 }
 
 TEST(StableLogTest, WaitStableThroughBlocksUntilForce) {

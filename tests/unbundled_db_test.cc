@@ -163,6 +163,130 @@ TEST_F(UnbundledDbTest, SerializableScanBlocksPhantomInsert) {
   EXPECT_TRUE(inserted.load());
 }
 
+// The upsert twin of the test above: an upsert of an absent key into the
+// scanned range must take the gap lock, so it blocks on the scan too.
+TEST_F(UnbundledDbTest, SerializableScanBlocksPhantomUpsert) {
+  Open(SmallPageOptions());
+  {
+    Txn setup(db_->tc());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(setup.Insert(kTable, Key(i * 10), "v").ok());
+    }
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+  StatusOr<TxnId> scanner = db_->Begin();
+  ASSERT_TRUE(scanner.ok());
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(db_->tc()->Scan(*scanner, kTable, Key(0), Key(100), 0, &rows)
+                  .ok());
+
+  std::atomic<bool> upserted{false};
+  std::thread upserter([&] {
+    Txn txn(db_->tc());
+    if (txn.Upsert(kTable, Key(55), "phantom").ok() && txn.Commit().ok()) {
+      upserted.store(true);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  EXPECT_FALSE(upserted.load()) << "phantom upsert must wait for the scan";
+  std::vector<std::pair<std::string, std::string>> rows2;
+  ASSERT_TRUE(db_->tc()->Scan(*scanner, kTable, Key(0), Key(100), 0, &rows2)
+                  .ok());
+  EXPECT_EQ(rows2, rows);
+  ASSERT_TRUE(db_->Commit(*scanner).ok());
+  upserter.join();
+  EXPECT_TRUE(upserted.load());
+  Txn check(db_->tc());
+  std::string value;
+  ASSERT_TRUE(check.Read(kTable, Key(55), &value).ok());
+  EXPECT_EQ(value, "phantom");
+  check.Commit();
+}
+
+// DC round trips per write under fetch-ahead phantom protection: an
+// upsert of a present key is one trip and takes no gap lock; an absent
+// key costs a refusal plus the write; an insert still probes first.
+TEST_F(UnbundledDbTest, UpsertRoundTripsFollowKeyPresence) {
+  Open(SmallPageOptions());
+  {
+    Txn setup(db_->tc());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(setup.Insert(kTable, Key(i * 10), "v").ok());
+    }
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+  TransactionComponent* tc = db_->tc();
+  const TcStats& stats = tc->stats();
+  Txn txn(tc);
+  ASSERT_TRUE(txn.ok());
+
+  uint64_t sent = stats.ops_sent.load();
+  uint64_t probes = stats.probes.load();
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(txn.Upsert(kTable, Key(i * 10), "p" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(stats.ops_sent.load() - sent, 8u);
+  EXPECT_EQ(stats.probes.load() - probes, 0u);
+
+  sent = stats.ops_sent.load();
+  probes = stats.probes.load();
+  ASSERT_TRUE(txn.Upsert(kTable, Key(5), "absent").ok());
+  EXPECT_EQ(stats.ops_sent.load() - sent, 2u);
+  EXPECT_EQ(stats.probes.load() - probes, 1u);
+
+  sent = stats.ops_sent.load();
+  probes = stats.probes.load();
+  ASSERT_TRUE(txn.Insert(kTable, Key(6), "inserted").ok());
+  EXPECT_EQ(stats.ops_sent.load() - sent, 2u);
+  EXPECT_EQ(stats.probes.load() - probes, 1u);
+  ASSERT_TRUE(txn.Commit().ok());
+
+  Txn check(tc);
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(check.Scan(kTable, "", "", 0, &rows).ok());
+  check.Commit();
+  std::map<std::string, std::string> got(rows.begin(), rows.end());
+  std::map<std::string, std::string> want;
+  for (int i = 0; i < 10; ++i) {
+    want[Key(i * 10)] = i < 8 ? "p" + std::to_string(i) : "v";
+  }
+  want[Key(5)] = "absent";
+  want[Key(6)] = "inserted";
+  EXPECT_EQ(got, want);
+}
+
+// Versioned: a record the txn itself tombstoned is still physically
+// present, so the upsert revives it in place — one trip, no gap lock —
+// and the committed before-version survives until commit.
+TEST_F(UnbundledDbTest, VersionedUpsertRevivesOwnTombstoneInOneTrip) {
+  UnbundledDbOptions options = SmallPageOptions();
+  options.tc.versioning = true;
+  Open(options);
+  {
+    Txn setup(db_->tc());
+    ASSERT_TRUE(setup.Insert(kTable, Key(1), "committed").ok());
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+  TransactionComponent* tc = db_->tc();
+  Txn txn(tc);
+  ASSERT_TRUE(txn.Delete(kTable, Key(1)).ok());
+  const uint64_t sent = tc->stats().ops_sent.load();
+  const uint64_t probes = tc->stats().probes.load();
+  ASSERT_TRUE(txn.Upsert(kTable, Key(1), "revived").ok());
+  EXPECT_EQ(tc->stats().ops_sent.load() - sent, 1u);
+  EXPECT_EQ(tc->stats().probes.load() - probes, 0u);
+  std::string value;
+  ASSERT_TRUE(txn.Read(kTable, Key(1), &value).ok());
+  EXPECT_EQ(value, "revived");
+  ASSERT_TRUE(
+      tc->ReadShared(kTable, Key(1), ReadFlavor::kReadCommitted, &value).ok());
+  EXPECT_EQ(value, "committed");
+  ASSERT_TRUE(txn.Commit().ok());
+  ASSERT_TRUE(
+      tc->ReadShared(kTable, Key(1), ReadFlavor::kReadCommitted, &value).ok());
+  EXPECT_EQ(value, "revived");
+}
+
 TEST_F(UnbundledDbTest, ScanReturnsCommittedWindow) {
   Open(SmallPageOptions());
   {
