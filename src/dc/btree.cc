@@ -413,19 +413,34 @@ Status BTree::SplitForInsert(TableId table, Slice key, size_t needed) {
   std::vector<Frame*> extra_frames;  // created/pinned beyond path+leaf
 
   // ---- Split the leaf -------------------------------------------------
-  // Split point: first slot where the cumulative payload passes half.
+  // Append split: a key past every key on the leaf (a key-ordered load)
+  // moves only the last record right, so the left page stays full. The
+  // new page must still fit `needed` beside that record; otherwise, and
+  // for every other insert, split where the cumulative payload passes
+  // half.
   const uint16_t count = leaf_page.slot_count();
-  uint32_t total = 0;
-  for (uint16_t i = 0; i < count; ++i) {
-    total += static_cast<uint32_t>(leaf_page.PayloadAt(i).size());
-  }
-  uint32_t acc = 0;
   uint16_t split_slot = 1;
-  for (uint16_t i = 0; i < count - 1; ++i) {
-    acc += static_cast<uint32_t>(leaf_page.PayloadAt(i).size());
-    if (acc >= total / 2) {
-      split_slot = i + 1;
-      break;
+  Slice last_key;
+  const Slice last = leaf_page.PayloadAt(count - 1);
+  LeafRecord::DecodeKey(last, &last_key);
+  const uint32_t right_free = leaf_page.body_end() - kPageHeaderSize -
+                              static_cast<uint32_t>(last.size()) -
+                              kSlotEntrySize;
+  if (key.compare(last_key) > 0 &&
+      right_free >= needed + kSlotEntrySize) {
+    split_slot = count - 1;
+  } else {
+    uint32_t total = 0;
+    for (uint16_t i = 0; i < count; ++i) {
+      total += static_cast<uint32_t>(leaf_page.PayloadAt(i).size());
+    }
+    uint32_t acc = 0;
+    for (uint16_t i = 0; i < count - 1; ++i) {
+      acc += static_cast<uint32_t>(leaf_page.PayloadAt(i).size());
+      if (acc >= total / 2) {
+        split_slot = i + 1;
+        break;
+      }
     }
   }
   Slice split_key_slice;

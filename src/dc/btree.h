@@ -75,7 +75,9 @@ class BTree {
 
   /// Splits the leaf owning `key` (and any full ancestors) so that a
   /// payload of `needed` bytes can be inserted. No-op if space appeared
-  /// in the meantime. Runs as one system transaction.
+  /// in the meantime. Runs as one system transaction. A key past every
+  /// key on the leaf moves only the last record right (append split);
+  /// other keys split the leaf at its payload midpoint.
   Status SplitForInsert(TableId table, Slice key, size_t needed);
 
   /// Consolidates the leaf owning `key` with a sibling if it is under

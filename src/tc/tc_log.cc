@@ -5,6 +5,13 @@
 namespace untx {
 
 void TcLogRecord::EncodeTo(std::string* dst) const {
+  // Reserve the final size once instead of growing field by field; the
+  // 3 counts the type, op and flags bytes.
+  dst->reserve(dst->size() + 3 + VarintLength(txn) + VarintLength(table_id) +
+               VarintLength(key.size()) + key.size() +
+               VarintLength(value.size()) + value.size() +
+               VarintLength(before.size()) + before.size() +
+               VarintLength(undo_target) + VarintLength(rssp));
   dst->push_back(static_cast<char>(type));
   PutVarint64(dst, txn);
   dst->push_back(static_cast<char>(op));

@@ -185,11 +185,16 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
     rec.op = op->request.op;
     rec.table_id = op->request.table_id;
     rec.key = op->request.key;
-    rec.value = op->request.value;
     rec.versioned = op->request.versioned;
-    rec.applied = reply.status.ok() && IsWriteOp(op->request.op);
-    rec.has_before = reply.has_before;
-    rec.before = reply.value;
+    // Only a write's record carries images: undo and redo skip reads,
+    // so a read's result (reply.value) never reaches the log.
+    const bool is_write = IsWriteOp(op->request.op);
+    rec.applied = reply.status.ok() && is_write;
+    if (is_write) {
+      rec.value = op->request.value;
+      rec.has_before = reply.has_before;
+      rec.before = reply.value;
+    }
     rec.undo_target = op->undo_target;
     std::string payload;
     rec.EncodeTo(&payload);
@@ -885,12 +890,16 @@ Status TransactionComponent::Commit(TxnId txn) {
   Status drain = AwaitAll(txn);
   if (!drain.ok()) return drain;
 
-  TxnState state;
+  // Copy only what the commit reads: the undo chain and its
+  // before-images stay in place for a later abort.
+  bool has_writes = false;
+  std::vector<std::pair<TableId, std::string>> written_keys;
   {
     std::lock_guard<std::mutex> guard(txn_mu_);
     auto it = txns_.find(txn);
     if (it == txns_.end()) return Status::NotFound("unknown transaction");
-    state = it->second;
+    has_writes = !it->second.undo_chain.empty();
+    if (options_.versioning) written_keys = it->second.written_keys;
   }
 
   TcLogRecord rec;
@@ -901,7 +910,7 @@ Status TransactionComponent::Commit(TxnId txn) {
   const uint64_t commit_index = log_.Append(std::move(payload));
 
   // Log force for durability (§4.1.1(4)); read-only txns skip the force.
-  if (!state.undo_chain.empty()) {
+  if (has_writes) {
     if (options_.group_commit) {
       // Wake the forcer now instead of waiting out its interval tick —
       // sub-millisecond group-commit windows stay sub-millisecond.
@@ -916,8 +925,8 @@ Status TransactionComponent::Commit(TxnId txn) {
   }
 
   // §6.2.2: after the commit point, eliminate the before versions.
-  if (options_.versioning && !state.written_keys.empty()) {
-    Status s = FinishVersionedCommit(txn, state.written_keys);
+  if (!written_keys.empty()) {
+    Status s = FinishVersionedCommit(txn, written_keys);
     if (!s.ok()) return s;
   }
 

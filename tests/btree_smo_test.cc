@@ -1,5 +1,5 @@
 // B-tree structure-modification tests at the BTree level: multi-level
-// splits, consolidation, height shrink, replay idempotence, random SMO
+// splits, append splits under key-ordered loads, consolidation, height shrink, replay idempotence, random SMO
 // storms checked against tree invariants, and concurrent inserts racing
 // root splits.
 #include "dc/btree.h"
@@ -74,6 +74,58 @@ class BTreeSmoTest : public ::testing::Test {
     dc_->Control(lwm);
   }
 
+  // Fill fraction of each leaf, left to right along the leaf chain.
+  std::vector<double> LeafFills() {
+    std::vector<double> fills;
+    Frame* frame = nullptr;
+    EXPECT_TRUE(dc_->btree()->LocateLeaf(kTable, "", false, &frame).ok());
+    if (frame == nullptr) return fills;
+    BufferPool* pool = dc_->pool();
+    for (;;) {
+      SlottedPage page =
+          frame->Page(pool->page_size(), pool->trailer_capacity());
+      fills.push_back(page.FillFraction());
+      const PageId next = page.next_page();
+      frame->latch.UnlockShared();
+      pool->Unpin(frame);
+      if (next == kInvalidPageId) break;
+      EXPECT_TRUE(pool->Fetch(next, &frame).ok());
+      frame->latch.LockShared();
+    }
+    return fills;
+  }
+
+  // Every key of `model` reads back its value, and one full scan returns
+  // exactly the model.
+  void ExpectMatchesModel(const std::map<std::string, std::string>& model) {
+    for (const auto& [key, value] : model) {
+      OperationRequest read;
+      read.tc_id = 1;
+      read.lsn = next_lsn_++;
+      read.op = OpType::kRead;
+      read.table_id = kTable;
+      read.key = key;
+      OperationReply reply = dc_->Perform(read);
+      ASSERT_TRUE(reply.status.ok()) << key;
+      ASSERT_EQ(reply.value, value) << key;
+    }
+    OperationRequest scan;
+    scan.tc_id = 1;
+    scan.lsn = next_lsn_++;
+    scan.op = OpType::kScanRange;
+    scan.table_id = kTable;
+    scan.limit = 100000;
+    OperationReply rows = dc_->Perform(scan);
+    ASSERT_TRUE(rows.status.ok());
+    ASSERT_EQ(rows.keys.size(), model.size());
+    size_t i = 0;
+    for (const auto& [key, value] : model) {
+      ASSERT_EQ(rows.keys[i], key);
+      ASSERT_EQ(rows.values[i], value);
+      ++i;
+    }
+  }
+
   std::unique_ptr<StableStore> store_;
   std::unique_ptr<DataComponent> dc_;
   Lsn next_lsn_ = 1;
@@ -87,6 +139,58 @@ TEST_F(BTreeSmoTest, DeepTreeFromSequentialInserts) {
   EXPECT_GT(stats.splits, 20u);
   EXPECT_GT(stats.root_splits, 1u) << "tiny pages must grow height > 2";
   EXPECT_TRUE(dc_->btree()->CheckInvariants(kTable).ok());
+}
+
+// A key past every key on its leaf splits off only the last record, so
+// an ascending load leaves each left page full instead of half full.
+TEST_F(BTreeSmoTest, AscendingLoadFillsLeaves) {
+  const std::string value(16, 'v');
+  for (int i = 0; i < 1500; ++i) {
+    ASSERT_TRUE(Write(OpType::kInsert, Key(i), value).status.ok()) << i;
+  }
+  ASSERT_TRUE(dc_->btree()->CheckInvariants(kTable).ok());
+  std::vector<double> fills = LeafFills();
+  ASSERT_GT(fills.size(), 20u);
+  fills.pop_back();  // the rightmost leaf is still filling
+  double sum = 0;
+  for (double fill : fills) sum += fill;
+  EXPECT_GE(sum / fills.size(), 0.85);
+}
+
+// Two ascending streams interleaved: each stream appends to its own
+// leaf, and only the higher one's leaf is the tree's rightmost.
+TEST_F(BTreeSmoTest, InterleavedAscendingLoadKeepsInvariants) {
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 700; ++i) {
+    for (const char* stream : {"a", "b"}) {
+      const std::string key = stream + Key(i);
+      const std::string value = "v" + key;
+      ASSERT_TRUE(Write(OpType::kInsert, key, value).status.ok()) << key;
+      model[key] = value;
+    }
+    if (i % 100 == 99) {
+      ASSERT_TRUE(dc_->btree()->CheckInvariants(kTable).ok()) << i;
+    }
+  }
+  ASSERT_TRUE(dc_->btree()->CheckInvariants(kTable).ok());
+  ExpectMatchesModel(model);
+}
+
+TEST_F(BTreeSmoTest, RandomOrderLoadKeepsInvariants) {
+  std::vector<int> order(1200);
+  for (int i = 0; i < 1200; ++i) order[i] = i;
+  Random rng(97);
+  for (int i = 1199; i > 0; --i) {
+    std::swap(order[i], order[rng.Uniform(i + 1)]);
+  }
+  std::map<std::string, std::string> model;
+  for (int i : order) {
+    const std::string value = rng.Bytes(4 + rng.Uniform(30));
+    ASSERT_TRUE(Write(OpType::kInsert, Key(i), value).status.ok()) << i;
+    model[Key(i)] = value;
+  }
+  ASSERT_TRUE(dc_->btree()->CheckInvariants(kTable).ok());
+  ExpectMatchesModel(model);
 }
 
 TEST_F(BTreeSmoTest, ReverseOrderInserts) {

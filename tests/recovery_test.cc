@@ -96,6 +96,40 @@ TEST_F(RecoveryTest, DcCrashCommittedDataSurvives) {
   EXPECT_TRUE(db_->dc(0)->btree()->CheckInvariants(kTable).ok());
 }
 
+// An ascending load splits by appending: full left pages, one-record
+// right pages. A small pool flushes some of them (forcing their DC-log
+// batches) and leaves others cached; after a crash, DC-log replay
+// rebuilds the structure and TC redo re-applies the lost inserts.
+TEST_F(RecoveryTest, DcCrashAfterAppendSplitsRecoversEveryKey) {
+  UnbundledDbOptions options = Options();
+  options.dc.buffer_pool.capacity = 12;
+  Open(options);
+  const int n = 1600;
+  for (int base = 0; base < n; base += 8) {
+    Txn txn(db_->tc());
+    ASSERT_TRUE(txn.ok());
+    for (int i = base; i < base + 8; ++i) {
+      ASSERT_TRUE(txn.Insert(kTable, Key(i), "v" + std::to_string(i)).ok())
+          << i;
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+    if (base == n / 2) {
+      ASSERT_TRUE(db_->tc()->TakeCheckpoint().ok());
+    }
+  }
+  EXPECT_GT(db_->dc(0)->btree()->stats().splits, 30u);
+  EXPECT_FALSE(db_->dc(0)->dc_log()->ReadStableBatches().empty());
+  db_->CrashDc(0);
+  ASSERT_TRUE(db_->RecoverDc(0).ok());
+  ASSERT_TRUE(db_->dc(0)->btree()->CheckInvariants(kTable).ok());
+  for (int i = 0; i < n; ++i) {
+    auto v = Get(Key(i));
+    ASSERT_TRUE(v.ok()) << i << ": " << v.status().ToString();
+    ASSERT_EQ(*v, "v" + std::to_string(i));
+  }
+  EXPECT_EQ(ScanAll().size(), static_cast<size_t>(n));
+}
+
 TEST_F(RecoveryTest, DcCrashMidTransactionOpsResume) {
   Open(Options());
   ASSERT_TRUE(Put("pre", "1").ok());

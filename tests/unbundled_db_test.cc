@@ -255,6 +255,30 @@ TEST_F(UnbundledDbTest, UpsertRoundTripsFollowKeyPresence) {
   EXPECT_EQ(got, want);
 }
 
+// Undo and redo skip reads, so a read's TC log record carries no image:
+// eight reads of 100-byte values log a few bytes each, not the values.
+TEST_F(UnbundledDbTest, ReadOnlyTxnLogsNoReadValues) {
+  Open(SmallPageOptions());
+  const std::string value(100, 'x');
+  {
+    Txn setup(db_->tc());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(setup.Insert(kTable, Key(i), value).ok());
+    }
+    ASSERT_TRUE(setup.Commit().ok());
+  }
+  const uint64_t before = db_->tc()->log()->bytes_appended();
+  Txn txn(db_->tc());
+  ASSERT_TRUE(txn.ok());
+  for (int i = 0; i < 8; ++i) {
+    std::string got;
+    ASSERT_TRUE(txn.Read(kTable, Key(i), &got).ok());
+    ASSERT_EQ(got, value);
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+  EXPECT_LT(db_->tc()->log()->bytes_appended() - before, 300u);
+}
+
 // Versioned: a record the txn itself tombstoned is still physically
 // present, so the upsert revives it in place — one trip, no gap lock —
 // and the committed before-version survives until commit.
