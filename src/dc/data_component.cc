@@ -23,16 +23,9 @@ bool TraceEnabled() {
   return enabled;
 }
 
-std::string SentinelKey(TableId table, const std::string& key) {
-  std::string out;
-  PutFixed32(&out, table);
-  out += key;
-  return out;
-}
-
-/// Visibility of one record under a read flavor (§6.2).
-bool VisibleValue(const LeafRecord& rec, ReadFlavor flavor,
-                  std::string* out) {
+/// Visibility of one record under a read flavor (§6.2): the visible
+/// value as a slice of the record, or false if no version is visible.
+bool VisibleValue(const LeafRecordView& rec, ReadFlavor flavor, Slice* out) {
   switch (flavor) {
     case ReadFlavor::kOwn:
     case ReadFlavor::kDirty:
@@ -456,20 +449,40 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
   SlottedPage page = leaf->Page(pool_->page_size(), pool_->trailer_capacity());
   bool found;
   const uint16_t slot = BTree::LeafLowerBound(page, req.key, &found);
-  LeafRecord rec;
+  // The stored record is read in place; only the before-image is copied,
+  // once, into the reply.
+  LeafRecordView rec;
   if (found) {
-    LeafRecord::Decode(page.PayloadAt(slot), &rec);
+    LeafRecordView::Decode(page.PayloadAt(slot), &rec);
   }
 
-  auto replace_or_split = [&](const LeafRecord& r) {
-    Status s = page.ReplaceAt(slot, r.Encode());
+  // The new record is encoded into a per-thread buffer before it replaces
+  // the old one: its value or before-image may be a slice of that record.
+  thread_local std::string encoded;
+  // A full page is not an error: the caller splits the leaf and retries.
+  auto finish = [&](const Status& s) {
     if (s.IsBusy()) {
       out->need_split = true;
       reply.status = Status::Busy("page full");
-      return false;
+      return;
     }
     reply.status = s;
-    return s.ok();
+  };
+  auto replace = [&](TcId writer, uint8_t flags, const Slice& value,
+                     const Slice& before) {
+    EncodeLeafRecord(req.key, writer, flags, value, before, &encoded);
+    finish(page.ReplaceAt(slot, encoded));
+  };
+  auto return_before = [&] {
+    reply.value.assign(rec.value.data(), rec.value.size());
+    reply.has_before = true;
+  };
+  // A versioned write keeps the committed version as the before-image
+  // unless the record already has one (§6.2.2).
+  auto versioned_before = [&](uint8_t* flags) {
+    if (!req.versioned || rec.has_before()) return rec.before;
+    *flags |= LeafRecord::kHasBefore;
+    return rec.value;
   };
 
   switch (req.op) {
@@ -502,42 +515,27 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
           return reply;
         }
         // Upsert over an existing record behaves as update.
-        reply.value = rec.value;
-        reply.has_before = true;
-        if (req.versioned && !rec.has_before()) {
-          rec.before = rec.value;
-          rec.flags |= LeafRecord::kHasBefore;
-        }
-        rec.value = req.value;
-        rec.flags &= ~LeafRecord::kCurrentIsTombstone;
-        rec.last_writer_tc = req.tc_id;
-        replace_or_split(rec);
+        return_before();
+        uint8_t flags = rec.flags;
+        const Slice before = versioned_before(&flags);
+        flags &= ~LeafRecord::kCurrentIsTombstone;
+        replace(req.tc_id, flags, req.value, before);
         return reply;
       }
       if (found) {
         // Versioned insert over our own uncommitted delete: revive the
         // record, keeping the original committed before-version.
-        rec.value = req.value;
-        rec.flags &= ~LeafRecord::kCurrentIsTombstone;
-        rec.last_writer_tc = req.tc_id;
-        replace_or_split(rec);
+        replace(req.tc_id, rec.flags & ~LeafRecord::kCurrentIsTombstone,
+                req.value, rec.before);
         return reply;
       }
-      LeafRecord fresh;
-      fresh.key = req.key;
-      fresh.last_writer_tc = req.tc_id;
-      fresh.value = req.value;
-      if (req.versioned) {
-        // §6.2.2: an insert provides a "null" before version.
-        fresh.flags = LeafRecord::kHasBefore | LeafRecord::kBeforeIsNull;
-      }
-      Status s = page.InsertAt(slot, fresh.Encode());
-      if (s.IsBusy()) {
-        out->need_split = true;
-        reply.status = Status::Busy("page full");
-        return reply;
-      }
-      reply.status = s;
+      // §6.2.2: a versioned insert provides a "null" before version.
+      EncodeLeafRecord(req.key, req.tc_id,
+                       req.versioned ? LeafRecord::kHasBefore |
+                                           LeafRecord::kBeforeIsNull
+                                     : 0,
+                       req.value, Slice(), &encoded);
+      finish(page.InsertAt(slot, encoded));
       return reply;
     }
 
@@ -546,15 +544,10 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
         reply.status = Status::NotFound("update of missing key");
         return reply;
       }
-      reply.value = rec.value;  // before-image: the TC's undo information
-      reply.has_before = true;
-      if (req.versioned && !rec.has_before()) {
-        rec.before = rec.value;
-        rec.flags |= LeafRecord::kHasBefore;
-      }
-      rec.value = req.value;
-      rec.last_writer_tc = req.tc_id;
-      replace_or_split(rec);
+      return_before();  // the TC's undo information
+      uint8_t flags = rec.flags;
+      const Slice before = versioned_before(&flags);
+      replace(req.tc_id, flags, req.value, before);
       return reply;
     }
 
@@ -563,17 +556,12 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
         reply.status = Status::NotFound("delete of missing key");
         return reply;
       }
-      reply.value = rec.value;
-      reply.has_before = true;
+      return_before();
       if (req.versioned) {
-        if (!rec.has_before()) {
-          rec.before = rec.value;
-          rec.flags |= LeafRecord::kHasBefore;
-        }
-        rec.flags |= LeafRecord::kCurrentIsTombstone;
-        rec.value.clear();
-        rec.last_writer_tc = req.tc_id;
-        replace_or_split(rec);
+        uint8_t flags = rec.flags;
+        const Slice before = versioned_before(&flags);
+        replace(req.tc_id, flags | LeafRecord::kCurrentIsTombstone, Slice(),
+                before);
       } else {
         page.RemoveAt(slot);
       }
@@ -597,10 +585,10 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
         return reply;
       }
       if (rec.has_before()) {
-        rec.before.clear();
-        rec.flags &=
-            ~(LeafRecord::kHasBefore | LeafRecord::kBeforeIsNull);
-        replace_or_split(rec);
+        replace(rec.last_writer_tc,
+                rec.flags & ~(LeafRecord::kHasBefore |
+                              LeafRecord::kBeforeIsNull),
+                rec.value, Slice());
       }
       return reply;
     }
@@ -612,11 +600,11 @@ OperationReply DataComponent::ApplyWriteOnLeaf(const OperationRequest& req,
         if (rec.before_is_null()) {
           page.RemoveAt(slot);  // undo an uncommitted insert
         } else {
-          rec.value = rec.before;
-          rec.before.clear();
-          rec.flags &= ~(LeafRecord::kHasBefore | LeafRecord::kBeforeIsNull |
-                         LeafRecord::kCurrentIsTombstone);
-          replace_or_split(rec);
+          replace(rec.last_writer_tc,
+                  rec.flags & ~(LeafRecord::kHasBefore |
+                                LeafRecord::kBeforeIsNull |
+                                LeafRecord::kCurrentIsTombstone),
+                  rec.before, Slice());
         }
       }
       return reply;
@@ -688,12 +676,12 @@ OperationReply DataComponent::DoRead(const OperationRequest& req) {
   if (!found) {
     reply.status = Status::NotFound("key absent");
   } else {
-    LeafRecord rec;
-    LeafRecord::Decode(page.PayloadAt(slot), &rec);
-    std::string value;
+    LeafRecordView rec;
+    LeafRecordView::Decode(page.PayloadAt(slot), &rec);
+    Slice value;
     if (VisibleValue(rec, req.read_flavor, &value)) {
       reply.status = Status::OK();
-      reply.value = std::move(value);
+      reply.value.assign(value.data(), value.size());
     } else {
       reply.status = Status::NotFound("no visible version");
     }
@@ -732,25 +720,24 @@ OperationReply DataComponent::DoScan(const OperationRequest& req) {
       uint16_t slot = BTree::LeafLowerBound(page, resume_key, &found);
       if (found && skip_equal) ++slot;
       for (uint16_t i = slot; i < page.slot_count(); ++i) {
-        LeafRecord rec;
-        LeafRecord::Decode(page.PayloadAt(i), &rec);
-        if (!req.end_key.empty() &&
-            Slice(rec.key).compare(req.end_key) >= 0) {
+        LeafRecordView rec;
+        LeafRecordView::Decode(page.PayloadAt(i), &rec);
+        if (!req.end_key.empty() && rec.key.compare(req.end_key) >= 0) {
           leaf->latch.UnlockShared();
           pool_->Unpin(leaf);
           return reply;
         }
         if (probe) {
           // Probes report every key (locking needs the full picture).
-          reply.keys.push_back(rec.key);
+          reply.keys.push_back(rec.key.ToString());
         } else {
-          std::string value;
+          Slice value;
           if (VisibleValue(rec, req.read_flavor, &value)) {
-            reply.keys.push_back(rec.key);
-            reply.values.push_back(std::move(value));
+            reply.keys.push_back(rec.key.ToString());
+            reply.values.push_back(value.ToString());
           }
         }
-        resume_key = rec.key;
+        resume_key.assign(rec.key.data(), rec.key.size());
         skip_equal = true;
         if (reply.keys.size() >= limit) {
           leaf->latch.UnlockShared();
@@ -877,13 +864,13 @@ void DataComponent::ReadScanWindow(ScanCursor* cursor, std::string start,
       uint16_t slot = BTree::LeafLowerBound(page, resume, &found);
       if (found && skip_equal) ++slot;
       for (uint16_t i = slot; i < page.slot_count(); ++i) {
-        LeafRecord rec;
-        LeafRecord::Decode(page.PayloadAt(i), &rec);
-        if (!end_bound.empty() && Slice(rec.key).compare(end_bound) >= 0) {
+        LeafRecordView rec;
+        LeafRecordView::Decode(page.PayloadAt(i), &rec);
+        if (!end_bound.empty() && rec.key.compare(end_bound) >= 0) {
           range_ended = true;
           break;
         }
-        std::string value;
+        Slice value;
         const bool visible = VisibleValue(rec, flavor, &value);
         if (probe) {
           // Probe semantics (§3.1): every physical key is reported so
@@ -894,13 +881,13 @@ void DataComponent::ReadScanWindow(ScanCursor* cursor, std::string start,
                 static_cast<uint32_t>(chunk->keys.size()));
             value.clear();
           }
-          chunk->keys.push_back(rec.key);
-          chunk->values.push_back(std::move(value));
+          chunk->keys.push_back(rec.key.ToString());
+          chunk->values.push_back(value.ToString());
         } else if (visible) {
-          chunk->keys.push_back(rec.key);
-          chunk->values.push_back(std::move(value));
+          chunk->keys.push_back(rec.key.ToString());
+          chunk->values.push_back(value.ToString());
         }
-        resume = rec.key;
+        resume.assign(rec.key.data(), rec.key.size());
         skip_equal = true;
         if (chunk->keys.size() >= target) break;
       }
@@ -1616,7 +1603,7 @@ std::vector<OperationReply> DataComponent::PerformBatch(
 
 void DataComponent::CacheReply(const OperationReply& reply) {
   std::lock_guard<std::mutex> guard(reply_mu_);
-  reply_cache_[reply.tc_id][reply.lsn] = reply;
+  reply_nodes_.Put(&reply_cache_[reply.tc_id], reply.lsn, reply);
 }
 
 bool DataComponent::LookupReply(TcId tc, Lsn lsn, OperationReply* out) {
@@ -1634,7 +1621,10 @@ void DataComponent::PruneReplies(TcId tc, Lsn lwm) {
   auto tc_it = reply_cache_.find(tc);
   if (tc_it == reply_cache_.end()) return;
   auto& per_lsn = tc_it->second;
-  per_lsn.erase(per_lsn.begin(), per_lsn.upper_bound(lwm));
+  const auto end = per_lsn.upper_bound(lwm);
+  for (auto it = per_lsn.begin(); it != end;) {
+    it = reply_nodes_.Erase(&per_lsn, it);
+  }
 }
 
 DataComponent::Admission DataComponent::AdmitWrite(
@@ -1648,18 +1638,35 @@ DataComponent::Admission DataComponent::AdmitWrite(
   if (!req.recovery_resend && LookupReply(req.tc_id, req.lsn, cached)) {
     return Admission::kAnswered;
   }
-  const std::string key = SentinelKey(req.table_id, req.key);
-  auto [it, inserted] = in_flight_.try_emplace(key, req.tc_id, req.lsn);
-  if (inserted) return Admission::kEnter;
-  return it->second == std::make_pair(req.tc_id, req.lsn)
-             ? Admission::kDuplicateInFlight
-             : Admission::kConflict;
+  InFlightWrite* free_slot = nullptr;
+  for (InFlightWrite& slot : in_flight_) {
+    if (!slot.used) {
+      if (free_slot == nullptr) free_slot = &slot;
+      continue;
+    }
+    if (slot.table != req.table_id || slot.key != req.key) continue;
+    return slot.tc == req.tc_id && slot.lsn == req.lsn
+               ? Admission::kDuplicateInFlight
+               : Admission::kConflict;
+  }
+  if (free_slot == nullptr) free_slot = &in_flight_.emplace_back();
+  free_slot->used = true;
+  free_slot->table = req.table_id;
+  free_slot->key = req.key;
+  free_slot->tc = req.tc_id;
+  free_slot->lsn = req.lsn;
+  return Admission::kEnter;
 }
 
 void DataComponent::ExitSentinel(const OperationRequest& req) {
   if (!options_.conflict_sentinel) return;
   std::lock_guard<std::mutex> guard(sentinel_mu_);
-  in_flight_.erase(SentinelKey(req.table_id, req.key));
+  for (InFlightWrite& slot : in_flight_) {
+    if (slot.used && slot.table == req.table_id && slot.key == req.key) {
+      slot.used = false;
+      return;
+    }
+  }
 }
 
 // -- Replication & local recovery (PR 8) --------------------------------------

@@ -32,7 +32,6 @@
 #include <mutex>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -43,6 +42,7 @@
 #include "dc/dc_log.h"
 #include "dc/dc_redo_log.h"
 #include "storage/stable_store.h"
+#include "util/node_pool.h"
 
 namespace untx {
 
@@ -375,12 +375,26 @@ class DataComponent : public DcService {
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
 
+  using ReplyMap = std::map<Lsn, OperationReply>;
   std::mutex reply_mu_;
-  std::map<TcId, std::map<Lsn, OperationReply>> reply_cache_;
+  std::map<TcId, ReplyMap> reply_cache_;
+  /// Nodes LWM pruning freed, reused by CacheReply (with their value
+  /// buffers). 1024 bounds what the spares pin (a few hundred KiB) while
+  /// covering most of an LWM interval's writes. Guarded by reply_mu_.
+  NodePool<ReplyMap> reply_nodes_{1024};
 
+  /// One write inside the conflict sentinel. Slots are reused, so
+  /// entering the sentinel allocates only when more writes run at once
+  /// than ever before (or a key outgrows its slot's buffer).
+  struct InFlightWrite {
+    bool used = false;
+    TableId table = kInvalidTableId;
+    std::string key;
+    TcId tc = 0;
+    Lsn lsn = kInvalidLsn;
+  };
   std::mutex sentinel_mu_;
-  // (table|key) -> (tc, lsn) of the in-flight conflicting op.
-  std::unordered_map<std::string, std::pair<TcId, Lsn>> in_flight_;
+  std::vector<InFlightWrite> in_flight_;
 
   mutable std::mutex cursor_mu_;
   std::map<std::pair<TcId, uint64_t>, std::shared_ptr<ScanCursor>> cursors_;

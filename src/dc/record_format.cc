@@ -4,34 +4,50 @@
 
 namespace untx {
 
-std::string LeafRecord::Encode() const {
-  std::string out;
-  PutLengthPrefixedSlice(&out, key);
-  PutFixed16(&out, last_writer_tc);
-  out.push_back(static_cast<char>(flags));
-  PutLengthPrefixedSlice(&out, value);
-  if (has_before()) {
-    PutLengthPrefixedSlice(&out, before);
-  }
-  return out;
+void EncodeLeafRecord(const Slice& key, TcId last_writer_tc, uint8_t flags,
+                      const Slice& value, const Slice& before,
+                      std::string* dst) {
+  const bool has_before = (flags & LeafRecord::kHasBefore) != 0;
+  dst->clear();
+  dst->reserve(VarintLength(key.size()) + key.size() + 3 +
+               VarintLength(value.size()) + value.size() +
+               (has_before ? VarintLength(before.size()) + before.size()
+                           : 0));
+  PutLengthPrefixedSlice(dst, key);
+  PutFixed16(dst, last_writer_tc);
+  dst->push_back(static_cast<char>(flags));
+  PutLengthPrefixedSlice(dst, value);
+  if (has_before) PutLengthPrefixedSlice(dst, before);
 }
 
-bool LeafRecord::Decode(Slice payload, LeafRecord* out) {
-  Slice key, value;
-  if (!GetLengthPrefixedSlice(&payload, &key)) return false;
+bool LeafRecordView::Decode(Slice payload, LeafRecordView* out) {
+  if (!GetLengthPrefixedSlice(&payload, &out->key)) return false;
   if (!GetFixed16(&payload, &out->last_writer_tc)) return false;
   if (payload.empty()) return false;
   out->flags = static_cast<uint8_t>(payload[0]);
   payload.remove_prefix(1);
-  if (!GetLengthPrefixedSlice(&payload, &value)) return false;
-  out->key = key.ToString();
-  out->value = value.ToString();
+  if (!GetLengthPrefixedSlice(&payload, &out->value)) return false;
   out->before.clear();
   if (out->has_before()) {
-    Slice before;
-    if (!GetLengthPrefixedSlice(&payload, &before)) return false;
-    out->before = before.ToString();
+    if (!GetLengthPrefixedSlice(&payload, &out->before)) return false;
   }
+  return true;
+}
+
+std::string LeafRecord::Encode() const {
+  std::string out;
+  EncodeLeafRecord(key, last_writer_tc, flags, value, before, &out);
+  return out;
+}
+
+bool LeafRecord::Decode(Slice payload, LeafRecord* out) {
+  LeafRecordView view;
+  if (!LeafRecordView::Decode(payload, &view)) return false;
+  out->key = view.key.ToString();
+  out->last_writer_tc = view.last_writer_tc;
+  out->flags = view.flags;
+  out->value = view.value.ToString();
+  out->before = view.before.ToString();
   return true;
 }
 

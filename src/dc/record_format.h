@@ -49,6 +49,33 @@ struct LeafRecord {
   static bool DecodeKey(Slice payload, Slice* key);
 };
 
+/// A leaf record read in place: key, value and before-image are slices of
+/// the page payload, valid until the page changes. The write and read
+/// paths decode stored records this way and copy only what they return.
+struct LeafRecordView {
+  Slice key;
+  TcId last_writer_tc = 0;
+  uint8_t flags = 0;
+  Slice value;
+  Slice before;  ///< empty unless has_before()
+
+  bool has_before() const { return (flags & LeafRecord::kHasBefore) != 0; }
+  bool before_is_null() const {
+    return (flags & LeafRecord::kBeforeIsNull) != 0;
+  }
+  bool is_tombstone() const {
+    return (flags & LeafRecord::kCurrentIsTombstone) != 0;
+  }
+
+  static bool Decode(Slice payload, LeafRecordView* out);
+};
+
+/// Replaces *dst with the leaf payload of one record; `before` is written
+/// iff `flags` has kHasBefore. No argument may point into *dst.
+void EncodeLeafRecord(const Slice& key, TcId last_writer_tc, uint8_t flags,
+                      const Slice& value, const Slice& before,
+                      std::string* dst);
+
 struct InternalEntry {
   std::string separator;  // child covers keys in [separator, next separator)
   PageId child = kInvalidPageId;

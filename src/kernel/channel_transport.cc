@@ -184,12 +184,14 @@ void ChannelTransport::DispatchLoop() {
     if (kind == MessageKind::kOperationReply) {
       OperationReply reply;
       if (!OperationReply::DecodeFrom(&body, &reply)) continue;
-      if (client_.op_handler()) client_.op_handler()(reply);
+      if (client_.op_handler()) client_.op_handler()(std::move(reply));
     } else if (kind == MessageKind::kOperationBatchReply) {
       OperationBatchReply batch;
       if (!OperationBatchReply::DecodeFrom(&body, &batch)) continue;
       if (client_.op_handler()) {
-        for (const auto& reply : batch.replies) client_.op_handler()(reply);
+        for (auto& reply : batch.replies) {
+          client_.op_handler()(std::move(reply));
+        }
       }
     } else if (kind == MessageKind::kScanStreamChunk) {
       ScanStreamChunk chunk;

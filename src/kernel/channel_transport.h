@@ -104,11 +104,11 @@ class ChannelTransport {
     /// Coalesces queued ops bound for this DC into one channel message.
     void QueueOperation(const OperationRequest& req) override;
     void FlushOperations() override;
-    DcClient::OpReplyHandler op_handler() const { return op_handler_; }
-    DcClient::ControlReplyHandler control_handler() const {
+    const DcClient::OpReplyHandler& op_handler() const { return op_handler_; }
+    const DcClient::ControlReplyHandler& control_handler() const {
       return control_handler_;
     }
-    DcClient::ScanChunkHandler scan_chunk_handler() const {
+    const DcClient::ScanChunkHandler& scan_chunk_handler() const {
       return scan_chunk_handler_;
     }
 

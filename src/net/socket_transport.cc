@@ -232,8 +232,9 @@ bool SocketConnection::Send(const std::string& frame) {
     // Drain greedily so the common (uncongested) case never waits for
     // the reactor's POLLOUT round.
     while (out_pos_ < out_.size()) {
-      const ssize_t n = write(fd_, out_.data() + out_pos_,
-                              out_.size() - out_pos_);
+      // MSG_NOSIGNAL: a DC that died must not SIGPIPE the TC process.
+      const ssize_t n = ::send(fd_, out_.data() + out_pos_,
+                               out_.size() - out_pos_, MSG_NOSIGNAL);
       if (n > 0) {
         out_pos_ += static_cast<size_t>(n);
         continue;
@@ -516,8 +517,8 @@ void SocketReactor::WriteReady(SocketConnection* c) {
   std::lock_guard<std::mutex> guard(c->send_mu_);
   if (c->fd_ < 0 || c->state_ != SocketConnection::State::kConnected) return;
   while (c->out_pos_ < c->out_.size()) {
-    const ssize_t n = write(c->fd_, c->out_.data() + c->out_pos_,
-                            c->out_.size() - c->out_pos_);
+    const ssize_t n = ::send(c->fd_, c->out_.data() + c->out_pos_,
+                             c->out_.size() - c->out_pos_, MSG_NOSIGNAL);
     if (n > 0) {
       c->out_pos_ += static_cast<size_t>(n);
       continue;
@@ -620,14 +621,14 @@ void SocketDcClient::OnFrame(uint8_t raw_kind, const std::string& body) {
     case MessageKind::kOperationReply: {
       OperationReply reply;
       if (OperationReply::DecodeFrom(&input, &reply) && op_handler_) {
-        op_handler_(reply);
+        op_handler_(std::move(reply));
       }
       break;
     }
     case MessageKind::kOperationBatchReply: {
       OperationBatchReply batch;
       if (OperationBatchReply::DecodeFrom(&input, &batch) && op_handler_) {
-        for (const auto& reply : batch.replies) op_handler_(reply);
+        for (auto& reply : batch.replies) op_handler_(std::move(reply));
       }
       break;
     }

@@ -18,7 +18,9 @@ namespace untx {
 
 class DcClient {
  public:
-  using OpReplyHandler = std::function<void(const OperationReply&)>;
+  /// Takes the reply by value: a client hands over the reply it decoded
+  /// or received with std::move, and the TC keeps it without a copy.
+  using OpReplyHandler = std::function<void(OperationReply)>;
   using ControlReplyHandler = std::function<void(const ControlReply&)>;
   using ScanChunkHandler = std::function<void(const ScanStreamChunk&)>;
 
@@ -83,14 +85,18 @@ class DirectDcClient : public DcClient {
   void SendOperation(const OperationRequest& req) override {
     OperationReply reply = dc_.load()->Perform(req);
     // A crashed DC produced no reply; the resend daemon will retry.
-    if (!reply.status.IsCrashed() && op_handler_) op_handler_(reply);
+    if (!reply.status.IsCrashed() && op_handler_) {
+      op_handler_(std::move(reply));
+    }
   }
 
   void SendOperationBatch(
       const std::vector<OperationRequest>& reqs) override {
     std::vector<OperationReply> replies = dc_.load()->PerformBatch(reqs);
-    for (const auto& reply : replies) {
-      if (!reply.status.IsCrashed() && op_handler_) op_handler_(reply);
+    for (auto& reply : replies) {
+      if (!reply.status.IsCrashed() && op_handler_) {
+        op_handler_(std::move(reply));
+      }
     }
   }
 

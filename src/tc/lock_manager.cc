@@ -165,17 +165,20 @@ Status LockManager::LockInstant(TxnId txn, const std::string& name,
 
 void LockManager::WakeWaitersLocked(LockEntry* entry) {
   // Grant from the front of the queue while compatible (FIFO fairness).
-  bool granted_any = false;
-  while (!entry->waiters.empty()) {
-    Waiter* w = entry->waiters.front();
+  // The granted prefix leaves the queue in one erase.
+  size_t granted = 0;
+  while (granted < entry->waiters.size()) {
+    Waiter* w = entry->waiters[granted];
     if (!CompatibleLocked(*entry, w->txn, w->mode)) break;
     GrantLocked(entry, w->txn, w->mode);
     w->granted = true;
-    entry->waiters.pop_front();
-    granted_any = true;
+    ++granted;
     if (w->mode == LockMode::kExclusive) break;
   }
-  if (granted_any) cv_.notify_all();
+  if (granted == 0) return;
+  entry->waiters.erase(entry->waiters.begin(),
+                       entry->waiters.begin() + granted);
+  cv_.notify_all();
 }
 
 void LockManager::ReleaseAll(TxnId txn) {

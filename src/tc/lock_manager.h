@@ -14,7 +14,6 @@
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -79,7 +78,9 @@ class LockManager {
   struct LockEntry {
     // (txn, mode); a txn appears at most once, with its strongest mode.
     std::vector<std::pair<TxnId, LockMode>> holders;
-    std::deque<Waiter*> waiters;
+    /// FIFO queue. A vector, not a deque: most entries never see a
+    /// waiter, and a deque allocates two blocks as soon as it exists.
+    std::vector<Waiter*> waiters;
   };
 
   bool CompatibleLocked(const LockEntry& entry, TxnId txn,

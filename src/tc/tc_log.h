@@ -19,6 +19,7 @@
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "dc/dc_api.h"
 
 namespace untx {
 
@@ -57,5 +58,36 @@ struct TcLogRecord {
   void EncodeTo(std::string* dst) const;
   static bool DecodeFrom(Slice* input, TcLogRecord* out);
 };
+
+/// A decoded record whose key, value and before-image are slices of the
+/// encoded payload, valid only while that payload is. Recovery scans
+/// decode every record into one of these instead of copying its images.
+struct TcLogRecordView {
+  TcLogRecordType type = TcLogRecordType::kBegin;
+  TxnId txn = kInvalidTxnId;
+  OpType op = OpType::kRead;
+  TableId table_id = kInvalidTableId;
+  Slice key;
+  Slice value;
+  Slice before;
+  bool has_before = false;
+  bool versioned = false;
+  bool applied = false;
+  Lsn undo_target = kInvalidLsn;
+  Lsn rssp = kInvalidLsn;
+
+  static bool DecodeFrom(Slice* input, TcLogRecordView* out);
+};
+
+/// Encodes the kOperation or kClr record of a completed operation
+/// straight from its request and reply: the same bytes as EncodeTo of a
+/// TcLogRecord holding the request's op, table, key and versioned flag,
+/// `applied` = a write answered OK and, for a write only, the request's
+/// value and the reply's before-image and has_before. A read's result
+/// never reaches the log (undo and redo skip reads).
+void EncodeOperationRecord(TcLogRecordType type, TxnId txn,
+                           const OperationRequest& req,
+                           const OperationReply& reply, Lsn undo_target,
+                           std::string* dst);
 
 }  // namespace untx

@@ -7,19 +7,9 @@
 #include <set>
 #include <thread>
 
-#include "common/coding.h"
-
 namespace untx {
 
 namespace {
-
-/// Conflict-gate key for in-flight pipelined operations.
-std::string InflightKey(TableId table, const std::string& key) {
-  std::string out;
-  PutFixed32(&out, table);
-  out += key;
-  return out;
-}
 
 uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
@@ -62,7 +52,7 @@ TransactionComponent::TransactionComponent(TcOptions options,
   assert(!dcs_.empty());
   for (auto& binding : dcs_) {
     binding.client->set_op_reply_handler(
-        [this](const OperationReply& reply) { OnOperationReply(reply); });
+        [this](OperationReply reply) { OnOperationReply(std::move(reply)); });
     binding.client->set_control_reply_handler(
         [this](const ControlReply& reply) { OnControlReply(reply); });
     binding.client->set_scan_chunk_handler(
@@ -85,7 +75,7 @@ Status TransactionComponent::Start() {
   if (options_.start_daemons) {
     control_daemon_.Start(
         std::chrono::milliseconds(options_.control_interval_ms),
-        [this] { PushControls(); });
+        [this] { ControlPass(); });
     resend_daemon_.Start(
         std::chrono::milliseconds(options_.resend_interval_ms),
         [this] { ResendPass(); });
@@ -130,7 +120,7 @@ DcClient* TransactionComponent::ClientFor(DcId dc) const {
 
 // ---- Reply plumbing -----------------------------------------------------------
 
-void TransactionComponent::OnOperationReply(const OperationReply& reply) {
+void TransactionComponent::OnOperationReply(OperationReply reply) {
   if (crashed_.load()) return;
   // Count idempotence hits up front: a was_duplicate reply usually races
   // a non-duplicate one for the same LSN and loses the outstanding-op
@@ -143,9 +133,8 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
     if (it == outstanding_.end() || it->second->completed) {
       return;  // duplicate or late reply — idempotence already paid for it
     }
-    op = it->second;
-    op->completed = true;
-    op->reply = reply;
+    op = std::move(it->second);
+    outstanding_nodes_.Erase(&outstanding_, it);
     // The DC durably appended this op to its redo log at `rlsn`: record
     // it so a failover/local-recovery resend can skip every op the
     // revived DC's log already holds (the suffix-only resend). Duplicate
@@ -161,43 +150,17 @@ void TransactionComponent::OnOperationReply(const OperationReply& reply) {
       auto acked_it = acked_rlsns_.find(op->dc);
       if (acked_it != acked_rlsns_.end()) acked_it->second.erase(reply.lsn);
     }
-    outstanding_.erase(it);
-    // Only pipelined ops enter the per-key conflict gate and the
-    // backpressure window; probes, recovery resends and promotes skip
-    // both (and the gate-key allocation).
-    if (op->pipelined) {
-      // Release the conflict gate for pipelined successors.
-      auto key_it = inflight_keys_.find(
-          InflightKey(op->request.table_id, op->request.key));
-      if (key_it != inflight_keys_.end()) {
-        auto& ops = key_it->second;
-        ops.erase(std::remove(ops.begin(), ops.end(), op), ops.end());
-        if (ops.empty()) inflight_keys_.erase(key_it);
-      }
-      // Drain the backpressure window and wake blocked submitters.
-      if (op->txn != kInvalidTxnId) ReleaseWindowSlotLocked(op->txn, op->dc);
-    }
+    op->reply = std::move(reply);
+    op->completed = true;
   }
+  // Release the conflict gate and the window slot for the txn's
+  // pipelined successors.
+  if (op->pipeline) LeavePipeline(op.get());
   if (op->needs_seal) {
-    TcLogRecord rec;
-    rec.type = op->record_type;
-    rec.txn = op->txn;
-    rec.op = op->request.op;
-    rec.table_id = op->request.table_id;
-    rec.key = op->request.key;
-    rec.versioned = op->request.versioned;
-    // Only a write's record carries images: undo and redo skip reads,
-    // so a read's result (reply.value) never reaches the log.
-    const bool is_write = IsWriteOp(op->request.op);
-    rec.applied = reply.status.ok() && is_write;
-    if (is_write) {
-      rec.value = op->request.value;
-      rec.has_before = reply.has_before;
-      rec.before = reply.value;
-    }
-    rec.undo_target = op->undo_target;
+    // The record is encoded straight from the op's request and reply.
     std::string payload;
-    rec.EncodeTo(&payload);
+    EncodeOperationRecord(op->record_type, op->txn, op->request, op->reply,
+                          op->undo_target, &payload);
     log_.Seal(op->request.lsn - 1, std::move(payload));
   }
   op->done.Notify();
@@ -322,86 +285,93 @@ void TransactionComponent::PushControls() {
   }
 }
 
+void TransactionComponent::ControlPass() {
+  PushControls();
+  // A DC flushes a page only once every op on it is below the EOSL it
+  // knows; under a steady stream of writes its hot pages stay ahead of a
+  // control_interval_ms-old EOSL, and a checkpoint waiting on them would
+  // wait for a quiet moment. So while one waits, fresh EOSL/LWM follow
+  // every force.
+  while (checkpoints_flushing_.load() > 0 && !stopping_.load() &&
+         !crashed_.load()) {
+    const uint64_t pushed = log_.stable_end();
+    if (log_.WaitStableThrough(pushed, /*timeout_ms=*/1)) PushControls();
+  }
+}
+
 // ---- Operation execution -------------------------------------------------------
 
-bool TransactionComponent::WaitForConflicts(const OperationRequest& req) {
-  // The §1.2 obligation: never two conflicting operations in flight. The
-  // lock manager already serializes conflicts ACROSS transactions; within
-  // one transaction, pipelined submits against the same key must drain
-  // their predecessors (a write waits for everything on the key, a read
-  // waits for in-flight writes) so the channel cannot reorder them.
+Status TransactionComponent::AdmitToPipeline(OutstandingOp* op) {
+  TxnPipeline& pipe = *op->pipeline;
+  const OperationRequest& req = op->request;
   const bool is_write = IsWriteOp(req.op);
-  const std::string gate = InflightKey(req.table_id, req.key);
-  for (;;) {
-    std::shared_ptr<OutstandingOp> predecessor;
-    {
-      std::lock_guard<std::mutex> guard(out_mu_);
-      auto it = inflight_keys_.find(gate);
-      if (it != inflight_keys_.end()) {
-        for (const auto& op : it->second) {
-          if (op->completed) continue;
-          if (is_write || IsWriteOp(op->request.op)) {
-            predecessor = op;
-            break;
-          }
-        }
-      }
-    }
-    if (!predecessor) return true;
-    // The predecessor may still sit in a coalescing queue: flush, then
-    // wait for its reply (the resend daemon guarantees progress).
-    ClientFor(predecessor->dc)->FlushOperations();
-    if (!predecessor->done.WaitFor(
-            std::chrono::milliseconds(options_.op_timeout_ms))) {
-      return false;  // the predecessor is stuck (e.g. its DC is down)
-    }
-  }
-}
-
-void TransactionComponent::ReleaseWindowSlotLocked(TxnId txn, DcId dc) {
-  auto it = window_counts_.find({txn, dc});
-  if (it == window_counts_.end()) return;  // cap off, or cleared by Crash()
-  if (--it->second == 0) window_counts_.erase(it);
-  window_cv_.notify_all();
-}
-
-bool TransactionComponent::WaitForWindow(TxnId txn, DcId dc) {
   const uint32_t cap = options_.max_outstanding_ops;
-  if (cap == 0 || txn == kInvalidTxnId) return true;
-  const auto window_key = std::make_pair(txn, dc);
-  // Check-and-reserve must be one atomic step: concurrent submitters on
-  // the same (txn, DC) would otherwise each pass the check and jointly
-  // overshoot the cap. The slot is released by the reply handler (or by
-  // SubmitOp itself if the submit fails after the reservation).
-  auto try_reserve = [&]() {
-    uint32_t& count = window_counts_[window_key];
-    if (count >= cap) return false;
-    ++count;
-    return true;
-  };
-  {
-    // Common case: the window has room — one map lookup, no waiting.
-    std::lock_guard<std::mutex> guard(out_mu_);
-    if (try_reserve()) return true;
-  }
-  stats_.backpressure_waits.fetch_add(1);
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.op_timeout_ms);
   const auto interval = std::chrono::milliseconds(
       std::max<uint32_t>(options_.resend_interval_ms, 10));
+  std::chrono::steady_clock::time_point deadline{};
+  std::unique_lock<std::mutex> lock(pipe.mu);
   for (;;) {
-    // The window may still sit in a coalescing queue: push it onto the
-    // wire (outside out_mu_ — the reply handler needs that lock), then
-    // wait for completions to drain it.
-    ClientFor(dc)->FlushOperations();
-    std::unique_lock<std::mutex> lock(out_mu_);
-    bool reserved = false;
-    window_cv_.wait_for(lock, interval,
-                        [&] { return (reserved = try_reserve()); });
-    if (reserved || try_reserve()) return true;
-    if (std::chrono::steady_clock::now() > deadline) return false;
+    if (pipe.failed || crashed_.load()) return Status::Crashed("tc is down");
+    // The §1.2 obligation: never two conflicting operations in flight.
+    // The lock manager already serializes conflicts ACROSS transactions;
+    // within this one, a submit against a key waits for its in-flight
+    // predecessors (a write for everything on the key, a read for
+    // writes) so the channel cannot reorder them.
+    const OutstandingOp* predecessor = nullptr;
+    uint32_t window = 0;  // this txn's ops in flight to op->dc
+    for (const OutstandingOp* other : pipe.inflight) {
+      if (other->dc == op->dc) ++window;
+      if (other->request.table_id == req.table_id &&
+          (is_write || IsWriteOp(other->request.op)) &&
+          other->request.key == req.key) {
+        predecessor = other;
+        break;
+      }
+    }
+    if (predecessor == nullptr && (cap == 0 || window < cap)) {
+      // Check and reserve are one step: concurrent submitters to the
+      // same txn can neither overshoot the cap nor both pass the gate.
+      pipe.inflight.push_back(op);
+      return Status::OK();
+    }
+    const auto now = std::chrono::steady_clock::now();
+    if (deadline == std::chrono::steady_clock::time_point{}) {
+      deadline = now + std::chrono::milliseconds(options_.op_timeout_ms);
+      if (predecessor == nullptr) stats_.backpressure_waits.fetch_add(1);
+    } else if (now > deadline) {
+      return predecessor != nullptr
+                 ? Status::TimedOut("conflicting in-flight op never completed")
+                 : Status::Busy("outstanding-op window to the DC is full");
+    }
+    // What we wait for may still sit in a coalescing queue: push it onto
+    // the wire (outside the pipeline mutex — the reply handler needs
+    // it), then wait for a completion of this txn.
+    const DcId flush_dc = predecessor != nullptr ? predecessor->dc : op->dc;
+    const uint64_t seen = pipe.completions;
+    lock.unlock();
+    ClientFor(flush_dc)->FlushOperations();
+    lock.lock();
+    pipe.cv.wait_for(lock, interval, [&] {
+      return pipe.failed || pipe.completions != seen;
+    });
   }
+}
+
+void TransactionComponent::LeavePipeline(OutstandingOp* op) {
+  TxnPipeline& pipe = *op->pipeline;
+  std::lock_guard<std::mutex> guard(pipe.mu);
+  auto it = std::find(pipe.inflight.begin(), pipe.inflight.end(), op);
+  if (it == pipe.inflight.end()) return;  // emptied by Crash()
+  pipe.inflight.erase(it);
+  ++pipe.completions;
+  pipe.cv.notify_all();
+}
+
+void TransactionComponent::FailPipeline(TxnPipeline* pipe) {
+  std::lock_guard<std::mutex> guard(pipe->mu);
+  pipe->failed = true;
+  pipe->inflight.clear();
+  pipe->cv.notify_all();
 }
 
 std::shared_ptr<TransactionComponent::OutstandingOp>
@@ -413,60 +383,55 @@ TransactionComponent::SubmitOp(OperationRequest req, TxnId txn,
     return nullptr;
   };
   if (crashed_.load()) return fail(Status::Crashed("tc is down"));
-  const DcId dc = Route(req.table_id, req.key);
-  if (pipelined && !WaitForConflicts(req)) {
-    return fail(
-        Status::TimedOut("conflicting in-flight op never completed"));
-  }
-  if (pipelined && !WaitForWindow(txn, dc)) {
-    return fail(Status::Busy("outstanding-op window to the DC is full"));
-  }
-  if (crashed_.load()) {
-    // The window slot reserved above is never consumed: hand it back.
-    if (pipelined && txn != kInvalidTxnId) {
-      std::lock_guard<std::mutex> guard(out_mu_);
-      ReleaseWindowSlotLocked(txn, dc);
-    }
-    return fail(Status::Crashed("tc is down"));
-  }
-
+  // The request is built once, here, and sent from op->request.
   auto op = std::make_shared<OutstandingOp>();
-  const uint64_t index = log_.Reserve();
-  req.tc_id = options_.tc_id;
-  req.lsn = index + 1;
-  req.versioned = req.versioned && IsWriteOp(req.op);
-  op->request = req;
+  op->request = std::move(req);
   op->txn = txn;
   op->record_type = record_type;
   op->undo_target = undo_target;
   op->pipelined = pipelined;
-  op->dc = dc;
+  op->dc = Route(op->request.table_id, op->request.key);
+  const bool tracked = pipelined && txn != kInvalidTxnId &&
+                       record_type == TcLogRecordType::kOperation;
+  if (tracked) {
+    std::lock_guard<std::mutex> guard(txn_mu_);
+    auto it = txns_.find(txn);
+    if (it != txns_.end()) op->pipeline = it->second.pipeline;
+  }
+  if (op->pipeline) {
+    Status admitted = AdmitToPipeline(op.get());
+    if (!admitted.ok()) return fail(std::move(admitted));
+  }
+  if (crashed_.load()) {
+    // The pipeline slot taken above is never used: hand it back.
+    if (op->pipeline) LeavePipeline(op.get());
+    return fail(Status::Crashed("tc is down"));
+  }
+
+  OperationRequest& request = op->request;
+  request.tc_id = options_.tc_id;
+  request.lsn = log_.Reserve() + 1;
+  request.versioned = request.versioned && IsWriteOp(request.op);
   {
     std::lock_guard<std::mutex> guard(out_mu_);
-    outstanding_[req.lsn] = op;
+    outstanding_nodes_.Put(&outstanding_, request.lsn, op);
     op->last_send = std::chrono::steady_clock::now();
-    if (pipelined) {
-      inflight_keys_[InflightKey(req.table_id, req.key)].push_back(op);
-      // The backpressure slot was already reserved by WaitForWindow.
-    }
   }
-  if (pipelined && txn != kInvalidTxnId &&
-      record_type == TcLogRecordType::kOperation) {
+  if (op->pipeline) {
     std::lock_guard<std::mutex> guard(txn_mu_);
     auto it = txns_.find(txn);
     if (it != txns_.end()) it->second.pending_ops.push_back(op);
   }
   stats_.ops_sent.fetch_add(1);
   if (pipelined) {
-    ClientFor(op->dc)->QueueOperation(op->request);
+    ClientFor(op->dc)->QueueOperation(request);
   } else {
-    ClientFor(op->dc)->SendOperation(op->request);
+    ClientFor(op->dc)->SendOperation(request);
   }
   return op;
 }
 
-StatusOr<OperationReply> TransactionComponent::AwaitOp(
-    const std::shared_ptr<OutstandingOp>& op) {
+Status TransactionComponent::AwaitOp(const std::shared_ptr<OutstandingOp>& op) {
   if (op->pipelined && !op->completed) {
     ClientFor(op->dc)->FlushOperations();
   }
@@ -475,18 +440,11 @@ StatusOr<OperationReply> TransactionComponent::AwaitOp(
     // blocks its updaters, §6.2.2). The caller sees a timeout.
     return Status::TimedOut("operation not acknowledged in time");
   }
-  return op->reply;
+  return Status::OK();
 }
 
 void TransactionComponent::HarvestReply(
     const std::shared_ptr<OutstandingOp>& op) {
-  // Read `completed` under out_mu_: the await may have TIMED OUT with
-  // the reply handler mid-assignment of op->reply. Observing completed
-  // under the same lock that published it guarantees the reply is whole.
-  {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    if (!op->completed) return;
-  }
   std::lock_guard<std::mutex> guard(txn_mu_);
   if (op->harvested) return;
   op->harvested = true;
@@ -495,42 +453,38 @@ void TransactionComponent::HarvestReply(
   auto& pending = it->second.pending_ops;
   pending.erase(std::remove(pending.begin(), pending.end(), op),
                 pending.end());
-  FoldReplyLocked(&it->second, *op);
+  FoldReplyLocked(&it->second, op.get());
 }
 
 void TransactionComponent::FoldReplyLocked(TxnState* state,
-                                           const OutstandingOp& op) {
-  const OperationReply& reply = op.reply;
-  if (!reply.status.ok() || !IsWriteOp(op.request.op) ||
-      op.record_type != TcLogRecordType::kOperation) {
+                                           OutstandingOp* op) {
+  OperationReply& reply = op->reply;
+  if (!reply.status.ok() || !IsWriteOp(op->request.op) ||
+      op->record_type != TcLogRecordType::kOperation) {
     return;
   }
-  const TableId table = op.request.table_id;
-  const std::string& key = op.request.key;
-  switch (op.request.op) {
+  bool has_before;
+  switch (op->request.op) {
     case OpType::kInsert:
-      state->undo_chain.push_back(
-          UndoEntry{reply.lsn, OpType::kInsert, table, key, "", false});
+      has_before = false;
       break;
     case OpType::kUpdate:
-      state->undo_chain.push_back(
-          UndoEntry{reply.lsn, OpType::kUpdate, table, key, reply.value,
-                    true});
-      break;
     case OpType::kDelete:
-      state->undo_chain.push_back(
-          UndoEntry{reply.lsn, OpType::kDelete, table, key, reply.value,
-                    true});
+      has_before = true;
       break;
     case OpType::kUpsert:
-      state->undo_chain.push_back(
-          UndoEntry{reply.lsn, OpType::kUpsert, table, key, reply.value,
-                    reply.has_before});
+      has_before = reply.has_before;
       break;
     default:
       return;  // version/DDL ops carry no logical undo
   }
-  state->written_keys.emplace_back(table, key);
+  const TableId table = op->request.table_id;
+  const std::string& key = op->request.key;
+  // The log record is sealed by now, so the before-image moves on into
+  // the undo chain instead of being copied (an insert's is empty).
+  state->undo_chain.push_back(UndoEntry{reply.lsn, op->request.op, table, key,
+                                        std::move(reply.value), has_before});
+  if (options_.versioning) state->written_keys.emplace_back(table, key);
 }
 
 StatusOr<OperationReply> TransactionComponent::ExecuteOp(
@@ -540,7 +494,10 @@ StatusOr<OperationReply> TransactionComponent::ExecuteOp(
   auto op = SubmitOp(std::move(req), txn, record_type, undo_target,
                      /*pipelined=*/false, &error);
   if (!op) return error;
-  return AwaitOp(op);
+  Status s = AwaitOp(op);
+  if (!s.ok()) return s;
+  // Nobody else awaits a blocking op: its reply moves out.
+  return std::move(op->reply);
 }
 
 // ---- Locking helpers -----------------------------------------------------------
@@ -691,23 +648,24 @@ TransactionComponent::OpHandle TransactionComponent::SubmitUpsert(
       options_.range_protocol == RangeLockProtocol::kFetchAhead;
   // The in-place attempt needs only the key's own X lock.
   Status s = LockForWrite(txn, table, key, /*is_insert=*/!in_place);
-  OperationRequest req;
-  req.op = OpType::kUpsert;
-  req.table_id = table;
-  req.key = key;
-  req.value = value;
-  req.versioned = options_.versioning;
+  auto make_request = [&](bool if_present) {
+    OperationRequest req;
+    req.op = OpType::kUpsert;
+    req.table_id = table;
+    req.key = key;
+    req.value = value;
+    req.versioned = options_.versioning;
+    req.if_present = if_present;
+    return req;
+  };
   if (s.ok() && in_place) {
-    OperationRequest attempt = req;
-    attempt.if_present = true;
-    OpHandle tried = SubmitLocked(txn, std::move(attempt));
+    OpHandle tried = SubmitLocked(txn, make_request(/*if_present=*/true));
     if (!tried.op_) return tried;
-    StatusOr<OperationReply> reply = AwaitOp(tried.op_);
     // Applied, failed or timed out: the caller's Await reports it.
-    if (!reply.ok() || !reply->absent) return tried;
+    if (!AwaitOp(tried.op_).ok() || !tried.op_->reply.absent) return tried;
     stats_.probes.fetch_add(1);
     DropRefusedAttempt(tried.op_);
-    s = LockGap(txn, table, key, reply->keys);
+    s = LockGap(txn, table, key, tried.op_->reply.keys);
   }
   if (!s.ok()) {
     if (s.IsDeadlock()) stats_.deadlocks.fetch_add(1);
@@ -715,7 +673,9 @@ TransactionComponent::OpHandle TransactionComponent::SubmitUpsert(
     handle.submit_status_ = s;
     return handle;
   }
-  return SubmitLocked(txn, std::move(req));
+  // Only an absent key gets here after an attempt: its plain upsert is
+  // the second request of the 2-trip path.
+  return SubmitLocked(txn, make_request(/*if_present=*/false));
 }
 
 void TransactionComponent::DropRefusedAttempt(
@@ -739,14 +699,17 @@ Status TransactionComponent::Await(OpHandle* handle, std::string* value) {
   if (handle == nullptr) return Status::InvalidArgument("null handle");
   if (!handle->submit_status_.ok()) return handle->submit_status_;
   if (!handle->op_) return Status::InvalidArgument("empty handle");
-  StatusOr<OperationReply> reply = AwaitOp(handle->op_);
-  if (!reply.ok()) return reply.status();
+  Status s = AwaitOp(handle->op_);
+  if (!s.ok()) return s;
   HarvestReply(handle->op_);
-  if (reply->status.ok() && value != nullptr &&
+  // Read in place: a read's value is never moved, so a second Await of
+  // the same handle still finds it.
+  const OperationReply& reply = handle->op_->reply;
+  if (reply.status.ok() && value != nullptr &&
       handle->op_->request.op == OpType::kRead) {
-    *value = reply->value;
+    *value = reply.value;
   }
-  return reply->status;
+  return reply.status;
 }
 
 Status TransactionComponent::AwaitAll(TxnId txn) {
@@ -762,27 +725,19 @@ Status TransactionComponent::AwaitAll(TxnId txn) {
   for (const auto& binding : dcs_) binding.client->FlushOperations();
   Status first;
   for (const auto& op : pending) {
-    StatusOr<OperationReply> reply = AwaitOp(op);
-    const Status s = reply.ok() ? reply->status : reply.status();
+    Status s = AwaitOp(op);
+    if (s.ok()) s = op->reply.status;
     if (first.ok() && !s.ok()) first = s;
   }
-  // Harvest in one pass: fold every completed reply, then compact the
-  // pending list once. Ops that did not complete stay pending for Abort.
-  std::vector<bool> completed(pending.size());
-  {
-    std::lock_guard<std::mutex> guard(out_mu_);
-    for (size_t i = 0; i < pending.size(); ++i) {
-      completed[i] = pending[i]->completed;
-    }
-  }
+  // Harvest in one pass: fold every done reply, then compact the pending
+  // list once. Ops that did not complete stay pending for Abort.
   std::lock_guard<std::mutex> guard(txn_mu_);
   auto it = txns_.find(txn);
   if (it == txns_.end()) return first;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    OutstandingOp& op = *pending[i];
-    if (!completed[i] || op.harvested) continue;
-    op.harvested = true;
-    FoldReplyLocked(&it->second, op);
+  for (const auto& op : pending) {
+    if (op->harvested || !op->done.HasBeenNotified()) continue;
+    op->harvested = true;
+    FoldReplyLocked(&it->second, op.get());
   }
   auto& list = it->second.pending_ops;
   list.erase(std::remove_if(list.begin(), list.end(),
@@ -801,7 +756,7 @@ StatusOr<TxnId> TransactionComponent::Begin() {
   {
     std::lock_guard<std::mutex> guard(txn_mu_);
     id = next_txn_++;
-    txns_[id] = TxnState{id, {}, {}, {}};
+    txns_[id] = TxnState{id, {}, {}, {}, std::make_shared<TxnPipeline>()};
   }
   TcLogRecord rec;
   rec.type = TcLogRecordType::kBegin;
@@ -978,7 +933,7 @@ Status TransactionComponent::FinishVersionedCommit(
           op->txn = txn;
           op->dc = dc;
           op->last_send = now;
-          outstanding_[req.lsn] = op;
+          outstanding_nodes_.Put(&outstanding_, req.lsn, op);
           chunk.push_back(std::move(req));
           ops.push_back(std::move(op));
         }
@@ -990,9 +945,9 @@ Status TransactionComponent::FinishVersionedCommit(
       // Await the whole batch; a lost message is recovered per op by the
       // resend daemon (promotes are idempotent at the DC).
       for (const auto& op : ops) {
-        StatusOr<OperationReply> reply = AwaitOp(op);
-        if (!reply.ok()) return reply.status();
-        if (!reply->status.ok()) return reply->status;
+        Status s = AwaitOp(op);
+        if (!s.ok()) return s;
+        if (!op->reply.status.ok()) return op->reply.status;
       }
     }
   }
@@ -1064,6 +1019,16 @@ Status TransactionComponent::Abort(TxnId txn) {
     std::lock_guard<std::mutex> guard(txn_mu_);
     auto it = txns_.find(txn);
     if (it == txns_.end()) return Status::NotFound("unknown transaction");
+    // An op whose await timed out (its DC is down) is still being
+    // resent and is not in the undo chain. Releasing the locks now would
+    // let another txn's write on its key be in flight beside it (§1.2),
+    // and the late resend could overwrite a committed value. Keep the
+    // txn open, locks held: Abort again once its DC answers.
+    for (const auto& op : it->second.pending_ops) {
+      if (!op->done.HasBeenNotified()) {
+        return Status::TimedOut("an op of the txn is still in flight");
+      }
+    }
     state = it->second;
   }
   Status undo = UndoTxnLocked(&state);
@@ -1126,6 +1091,14 @@ Status TransactionComponent::TakeCheckpoint() {
   // failover would need to resend. The RSSP advances only to the
   // smallest grant across DCs.
   Lsn granted_min = candidate;
+  // While the DCs flush, the control daemon follows every log force
+  // (ControlPass).
+  checkpoints_flushing_.fetch_add(1);
+  struct FlushingGuard {
+    std::atomic<int>& count;
+    ~FlushingGuard() { count.fetch_sub(1); }
+  } flushing{checkpoints_flushing_};
+  control_daemon_.Poke();
   for (const auto& binding : dcs_) {
     ControlRequest req;
     req.type = ControlType::kCheckpoint;
@@ -1188,22 +1161,28 @@ void TransactionComponent::Crash() {
   crashed_.store(true);
   log_.Crash();
   // Wake every waiter with a crash indication; volatile state is gone.
-  std::map<Lsn, std::shared_ptr<OutstandingOp>> orphans;
+  OutstandingMap orphans;
   {
     std::lock_guard<std::mutex> guard(out_mu_);
     orphans.swap(outstanding_);
-    inflight_keys_.clear();
-    window_counts_.clear();
     // Acked-rlsn records are volatile: a restarted TC full-resends.
     acked_rlsns_.clear();
     // The DC-recovering gates are volatile state too: Restart() performs
     // the full redo-resend itself, and a surviving gate would hold every
     // post-restart streamed scan forever.
     dc_recovering_.clear();
-    window_cv_.notify_all();
     dc_ready_cv_.notify_all();
   }
+  {
+    // Every submitter blocked on a conflict gate or a full window gives
+    // up now. A pipeline with an op in flight is reachable through that
+    // op; one whose only op is between admission and registration,
+    // through its transaction.
+    std::lock_guard<std::mutex> guard(txn_mu_);
+    for (auto& [id, state] : txns_) FailPipeline(state.pipeline.get());
+  }
   for (auto& [lsn, op] : orphans) {
+    if (op->pipeline) FailPipeline(op->pipeline.get());
     op->completed = true;
     op->reply.status = Status::Crashed("tc crashed");
     op->done.Notify();
@@ -1237,19 +1216,29 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
   const uint64_t begin = log_.truncated_prefix();
   const uint64_t end = log_.stable_end();
   if (begin > 0) out->rssp = begin + 1;
-  std::map<TxnId, bool> versioned_txn;
+  // Per open txn, the log indices of its undoable writes: undo chains
+  // are built only for the txns still open at the end (the losers), not
+  // for every txn a commit or abort record later closes.
+  struct OpenTxn {
+    std::vector<uint64_t> writes;
+    /// Versioned writes' keys, which a commit hands to the promotion.
+    std::vector<std::pair<TableId, std::string>> versioned_keys;
+  };
+  std::map<TxnId, OpenTxn> open;
+  // One buffer and one key buffer for the whole scan; records decode as
+  // slices of the buffer.
+  std::string payload;
+  std::string key_buf;
   for (uint64_t i = begin; i < end; ++i) {
-    std::string payload;
     if (!log_.ReadAt(i, &payload).ok()) {
       return Status::Corruption("unreadable tc log record");
     }
     Slice in(payload);
-    TcLogRecord rec;
-    if (!TcLogRecord::DecodeFrom(&in, &rec)) {
+    TcLogRecordView rec;
+    if (!TcLogRecordView::DecodeFrom(&in, &rec)) {
       return Status::Corruption("bad tc log record");
     }
-    const Lsn lsn = i + 1;
-    if (const std::optional<DcId> dc = RedoTarget(rec)) {
+    if (const std::optional<DcId> dc = RedoTarget(rec, &key_buf)) {
       out->redo[*dc].push_back(i);
     }
     switch (rec.type) {
@@ -1257,7 +1246,7 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
         if (rec.rssp > out->rssp) out->rssp = rec.rssp;
         break;
       case TcLogRecordType::kBegin:
-        out->losers[rec.txn] = TxnState{rec.txn, {}, {}, {}};
+        open[rec.txn];
         break;
       case TcLogRecordType::kOperation: {
         if (rec.txn == kInvalidTxnId || !rec.applied || !IsWriteOp(rec.op) ||
@@ -1267,37 +1256,54 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
         }
         // A checkpoint keeps the log from an open txn's first operation,
         // so its begin record may be truncated: the operation itself
-        // makes the txn a loser until its commit or abort shows up.
-        TxnState& state =
-            out->losers.try_emplace(rec.txn, TxnState{rec.txn, {}, {}, {}})
-                .first->second;
-        state.undo_chain.push_back(UndoEntry{lsn, rec.op, rec.table_id,
-                                             rec.key, rec.before,
-                                             rec.has_before});
-        state.written_keys.emplace_back(rec.table_id, rec.key);
-        if (rec.versioned) versioned_txn[rec.txn] = true;
+        // makes the txn open until its commit or abort shows up.
+        OpenTxn& txn = open[rec.txn];
+        txn.writes.push_back(i);
+        if (rec.versioned) {
+          txn.versioned_keys.emplace_back(rec.table_id, rec.key.ToString());
+        }
         break;
       }
       case TcLogRecordType::kClr:
         out->undone[rec.txn].push_back(rec.undo_target);
         break;
       case TcLogRecordType::kCommit: {
-        auto it = out->losers.find(rec.txn);
-        if (it != out->losers.end()) {
-          if (versioned_txn.count(rec.txn) > 0) {
+        auto it = open.find(rec.txn);
+        if (it != open.end()) {
+          if (!it->second.versioned_keys.empty()) {
             out->committed_pending_promote[rec.txn] =
-                it->second.written_keys;
+                std::move(it->second.versioned_keys);
           }
-          out->losers.erase(it);
+          open.erase(it);
         }
         break;
       }
       case TcLogRecordType::kAbort:
-        out->losers.erase(rec.txn);
+        open.erase(rec.txn);
         break;
       case TcLogRecordType::kTxnEnd:
         out->committed_pending_promote.erase(rec.txn);
         break;
+    }
+  }
+  // The losers: re-read each open txn's writes for their undo images.
+  for (auto& [id, txn] : open) {
+    TxnState& state = out->losers[id];
+    state.id = id;
+    state.undo_chain.reserve(txn.writes.size());
+    for (const uint64_t i : txn.writes) {
+      if (!log_.ReadAt(i, &payload).ok()) {
+        return Status::Corruption("unreadable tc log record");
+      }
+      Slice in(payload);
+      TcLogRecordView rec;
+      if (!TcLogRecordView::DecodeFrom(&in, &rec)) {
+        return Status::Corruption("bad tc log record");
+      }
+      state.undo_chain.push_back(UndoEntry{i + 1, rec.op, rec.table_id,
+                                           rec.key.ToString(),
+                                           rec.before.ToString(),
+                                           rec.has_before});
     }
   }
   // Redo starts at the RSSP, which the last checkpoint record fixed only
@@ -1313,7 +1319,7 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
 }
 
 std::optional<DcId> TransactionComponent::RedoTarget(
-    const TcLogRecord& rec) const {
+    const TcLogRecordView& rec, std::string* key_buf) const {
   if (rec.type != TcLogRecordType::kOperation &&
       rec.type != TcLogRecordType::kClr) {
     return std::nullopt;
@@ -1326,7 +1332,9 @@ std::optional<DcId> TransactionComponent::RedoTarget(
       rec.op != OpType::kRollbackVersion) {
     return std::nullopt;
   }
-  return Route(rec.table_id, rec.key);
+  // The router takes a string: the caller's buffer keeps its capacity.
+  key_buf->assign(rec.key.data(), rec.key.size());
+  return Route(rec.table_id, *key_buf);
 }
 
 Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
@@ -1356,17 +1364,18 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
   // ("redo repeats history by delivering operations in the correct order
   // to the DC", §3.2).
   RedoIndex index;
+  std::string payload;
+  std::string key_buf;
   for (uint64_t i = begin; i < end; ++i) {
-    std::string payload;
     if (!log_.ReadAt(i, &payload).ok()) {
       return Status::Corruption("unreadable tc log record in redo range");
     }
     Slice in(payload);
-    TcLogRecord rec;
-    if (!TcLogRecord::DecodeFrom(&in, &rec)) {
+    TcLogRecordView rec;
+    if (!TcLogRecordView::DecodeFrom(&in, &rec)) {
       return Status::Corruption("bad tc log record in redo range");
     }
-    const std::optional<DcId> dc = RedoTarget(rec);
+    const std::optional<DcId> dc = RedoTarget(rec, &key_buf);
     if (!dc || (!all_dcs && *dc != only_dc)) continue;
     if (dc_redo_end != 0 && !all_dcs) {
       auto ack_it = acked.find(static_cast<Lsn>(i + 1));
@@ -1409,30 +1418,36 @@ Status TransactionComponent::ShipDcRedo(DcId dc,
   // LSN order.
   static const bool trace_redo = getenv("UNTX_TRACE") != nullptr;
   const size_t batch_cap = std::max<uint32_t>(1, options_.recovery_batch_ops);
+  std::string payload;  // one read buffer for the whole stream
+  std::vector<OperationRequest> chunk;
+  std::vector<std::shared_ptr<OutstandingOp>> ops;
   for (size_t base = 0; base < indices.size(); base += batch_cap) {
     const size_t count = std::min(batch_cap, indices.size() - base);
-    std::vector<OperationRequest> chunk;
-    chunk.reserve(count);
+    // Each request is built once, in the batch (whose strings keep their
+    // capacity from batch to batch); suffix resends send it from there.
+    // The op entry keeps only what correlation and the resend daemon read
+    // (its LSN and the recovery flag).
+    chunk.resize(count);
+    ops.clear();
     for (size_t k = base; k < base + count; ++k) {
       const uint64_t i = indices[k];
       // A record the index named must still be there: skipping it would
       // silently lose its effect at the DC.
-      std::string payload;
       if (!log_.ReadAt(i, &payload).ok()) {
         return Status::Corruption("indexed redo record unreadable");
       }
       Slice in(payload);
-      TcLogRecord rec;
-      if (!TcLogRecord::DecodeFrom(&in, &rec)) {
+      TcLogRecordView rec;
+      if (!TcLogRecordView::DecodeFrom(&in, &rec)) {
         return Status::Corruption("indexed redo record undecodable");
       }
-      OperationRequest req;
+      OperationRequest& req = chunk[k - base];
       req.tc_id = options_.tc_id;
       req.lsn = i + 1;
       req.op = rec.op;
       req.table_id = rec.table_id;
-      req.key = std::move(rec.key);
-      req.value = std::move(rec.value);
+      req.key.assign(rec.key.data(), rec.key.size());
+      req.value.assign(rec.value.data(), rec.value.size());
       req.versioned = rec.versioned;
       req.recovery_resend = true;
       if (trace_redo) {
@@ -1440,23 +1455,22 @@ Status TransactionComponent::ShipDcRedo(DcId dc,
                 options_.tc_id, (unsigned long long)req.lsn, (int)req.op,
                 req.table_id, req.key.c_str(), dc);
       }
-      chunk.push_back(std::move(req));
     }
-    std::vector<std::shared_ptr<OutstandingOp>> ops;
-    ops.reserve(chunk.size());
     {
       std::lock_guard<std::mutex> guard(out_mu_);
       const auto now = std::chrono::steady_clock::now();
       for (const auto& req : chunk) {
         auto op = std::make_shared<OutstandingOp>();
-        op->request = req;
+        op->request.tc_id = req.tc_id;
+        op->request.lsn = req.lsn;
+        op->request.recovery_resend = true;
         op->dc = dc;
         op->needs_seal = false;
         // Stamp the send time: ResendPass must not judge the batch
         // stale on its next tick and flood per-op resends while the
         // batch message is legitimately in flight.
         op->last_send = now;
-        outstanding_[req.lsn] = op;
+        outstanding_nodes_.Put(&outstanding_, req.lsn, op);
         ops.push_back(std::move(op));
       }
     }
@@ -1497,7 +1511,7 @@ Status TransactionComponent::ShipDcRedo(DcId dc,
           for (size_t j = i; j < ops.size(); ++j) {
             if (ops[j]->completed) continue;
             ops[j]->last_send = now;  // keep ResendPass off this batch
-            again.push_back(ops[j]->request);
+            again.push_back(chunk[j]);
           }
         }
         if (again.empty()) continue;  // completed while assembling

@@ -41,6 +41,7 @@
 #include "tc/dc_client.h"
 #include "tc/lock_manager.h"
 #include "tc/tc_log.h"
+#include "util/node_pool.h"
 #include "util/repeating_thread.h"
 #include "util/sync.h"
 #include "wal/stable_log.h"
@@ -225,6 +226,9 @@ class TransactionComponent {
   // -- Transactions -----------------------------------------------------------
   StatusOr<TxnId> Begin();
   Status Commit(TxnId txn);
+  /// Rolls the txn back and releases its locks. While one of its ops is
+  /// still unanswered (its DC is down) or an undo op fails, returns the
+  /// error and keeps the txn open with its locks held: call again.
   Status Abort(TxnId txn);
 
   Status Read(TxnId txn, TableId table, const std::string& key,
@@ -338,13 +342,20 @@ class TransactionComponent {
   const TcOptions& options() const { return options_; }
 
  private:
+  struct TxnPipeline;
+
   struct OutstandingOp {
+    /// Built once by the submitter and never written after dispatch:
+    /// resends read it without a lock.
     OperationRequest request;
     TxnId txn = kInvalidTxnId;
     TcLogRecordType record_type = TcLogRecordType::kOperation;
     Lsn undo_target = kInvalidLsn;
     DcId dc = 0;
     Notification done;
+    /// Moved in by the reply handler under out_mu_ (or failed by Crash())
+    /// before `done` fires; read in place once `done` has fired. Harvest
+    /// moves a write's before-image on into the undo chain.
     OperationReply reply;
     /// Atomic: set under out_mu_ by the reply handler, but read lock-free
     /// on fast paths (AwaitOp's flush check, prefetch-hit accounting).
@@ -356,6 +367,31 @@ class TransactionComponent {
     /// Undo info already folded into the txn state (exactly once).
     bool harvested = false;
     std::chrono::steady_clock::time_point last_send;
+    /// The submitting transaction's pipeline, for a pipelined op of a
+    /// known transaction: it sits in the pipeline's in-flight list from
+    /// admission until its reply.
+    std::shared_ptr<TxnPipeline> pipeline;
+  };
+
+  /// One transaction's pipelined ops that have not completed: its
+  /// conflict gate and its backpressure window. Only ops of one
+  /// transaction can conflict — the lock manager serialises the rest —
+  /// so the gate scans this list alone, and a reply wakes only its own
+  /// transaction's waiters. Over a direct binding an op completes inside
+  /// its own submit, so the list is empty whenever a submit looks.
+  struct TxnPipeline {
+    std::mutex mu;
+    /// Signalled whenever an in-flight op completes, and by Crash().
+    std::condition_variable cv;
+    /// Admitted, not yet completed ops in submission order. Raw
+    /// pointers: an op leaves the list on completion while the reply
+    /// handler still holds it, and Crash() empties the list.
+    std::vector<OutstandingOp*> inflight;
+    /// Completions so far: a waiter that dropped mu to flush can tell
+    /// whether it missed a wakeup.
+    uint64_t completions = 0;
+    /// Set by Crash(): every waiter gives up at once.
+    bool failed = false;
   };
 
   struct UndoEntry {
@@ -370,9 +406,12 @@ class TransactionComponent {
   struct TxnState {
     TxnId id;
     std::vector<UndoEntry> undo_chain;
+    /// Filled only with versioning on: the versioned commit promotes
+    /// these keys (§6.2.2).
     std::vector<std::pair<TableId, std::string>> written_keys;
     /// Submitted-not-yet-harvested ops, in submission (LSN) order.
     std::vector<std::shared_ptr<OutstandingOp>> pending_ops;
+    std::shared_ptr<TxnPipeline> pipeline;
   };
 
   DcId Route(TableId table, const std::string& key) const;
@@ -388,36 +427,39 @@ class TransactionComponent {
                                           Lsn undo_target, bool pipelined,
                                           Status* error = nullptr);
 
-  /// Flushes (for pipelined ops) and waits for the reply.
-  StatusOr<OperationReply> AwaitOp(const std::shared_ptr<OutstandingOp>& op);
+  /// Flushes (for pipelined ops) and waits for the reply. OK means
+  /// op->done fired and op->reply may be read in place.
+  Status AwaitOp(const std::shared_ptr<OutstandingOp>& op);
 
   /// Folds a completed write reply into the transaction state (undo
   /// chain + written keys), exactly once, and drops the op from the
-  /// txn's pending list.
+  /// txn's pending list. Caller has seen op->done fire.
   void HarvestReply(const std::shared_ptr<OutstandingOp>& op);
 
-  /// Folds a completed op's write reply into `state` (undo chain and
-  /// written keys). Caller holds txn_mu_ and has marked op harvested.
-  void FoldReplyLocked(TxnState* state, const OutstandingOp& op);
+  /// Folds a done op's write reply into `state`: the undo chain takes
+  /// the before-image by move (and, with versioning, written_keys the
+  /// key). Caller holds txn_mu_ and has marked op harvested.
+  void FoldReplyLocked(TxnState* state, OutstandingOp* op);
 
   /// Drops a refused if_present upsert from its txn's pending list (in
   /// O(1): it is the latest submit) and marks it harvested.
   void DropRefusedAttempt(const std::shared_ptr<OutstandingOp>& op);
 
-  /// A conflicting pipelined submit must wait for in-flight ops on the
-  /// same key before dispatch (the §1.2 contract). False if a predecessor
-  /// never completed within the op timeout.
-  bool WaitForConflicts(const OperationRequest& req);
+  /// Admits a pipelined op into its transaction's pipeline. Two gates,
+  /// checked and passed in one step under the pipeline's mutex: no
+  /// conflicting op of the txn may be in flight on the same key (the
+  /// §1.2 contract), and the txn may have at most max_outstanding_ops in
+  /// flight to the op's DC (backpressure). TimedOut if a conflicting
+  /// predecessor, Busy if the window, did not clear within the op
+  /// timeout; Crashed if the TC crashed meanwhile.
+  Status AdmitToPipeline(OutstandingOp* op);
 
-  /// Backpressure gate: blocks while `txn` already has
-  /// max_outstanding_ops unacknowledged pipelined ops in flight to `dc`,
-  /// then reserves one window slot. False if the window never drained
-  /// within the op timeout.
-  bool WaitForWindow(TxnId txn, DcId dc);
+  /// Takes a completed (or abandoned) op out of its pipeline and wakes
+  /// the transaction's waiting submitters.
+  static void LeavePipeline(OutstandingOp* op);
 
-  /// Returns a reserved window slot and wakes blocked submitters.
-  /// Caller must hold out_mu_.
-  void ReleaseWindowSlotLocked(TxnId txn, DcId dc);
+  /// Crash(): empties the pipeline and fails every waiter on it.
+  static void FailPipeline(TxnPipeline* pipe);
 
   /// Submit + await: the blocking call path.
   StatusOr<OperationReply> ExecuteOp(
@@ -428,7 +470,7 @@ class TransactionComponent {
   /// Shared submit path of the public Submit* family.
   OpHandle SubmitLocked(TxnId txn, OperationRequest req);
 
-  void OnOperationReply(const OperationReply& reply);
+  void OnOperationReply(OperationReply reply);
   void OnControlReply(const ControlReply& reply);
   void OnScanChunk(const ScanStreamChunk& chunk);
 
@@ -497,6 +539,10 @@ class TransactionComponent {
                                       uint32_t timeout_ms);
 
   void ResendPass();
+  /// The control daemon's tick: PushControls, then, while a checkpoint
+  /// waits on DC flushes, once more after every move of the stable log
+  /// end.
+  void ControlPass();
   void SendToDc(const std::shared_ptr<OutstandingOp>& op, bool is_resend);
 
   Status LockForWrite(TxnId txn, TableId table, const std::string& key,
@@ -520,7 +566,8 @@ class TransactionComponent {
 
   /// The one redo rule, shared by Analyze and RedoResend: the DC that
   /// `rec` replays at, or nothing if it has no redo effect.
-  std::optional<DcId> RedoTarget(const TcLogRecord& rec) const;
+  std::optional<DcId> RedoTarget(const TcLogRecordView& rec,
+                                 std::string* key_buf) const;
 
   /// Analysis pass over the stable log (for Restart). The same scan
   /// builds the redo index from the RSSP, so a restart reads the log once.
@@ -570,8 +617,13 @@ class TransactionComponent {
   std::unordered_map<TxnId, TxnState> txns_;
   TxnId next_txn_ = 1;
 
+  using OutstandingMap = std::map<Lsn, std::shared_ptr<OutstandingOp>>;
   std::mutex out_mu_;
-  std::map<Lsn, std::shared_ptr<OutstandingOp>> outstanding_;
+  OutstandingMap outstanding_;
+  /// Nodes of completed ops, reused by later registrations: an op's
+  /// round trip does not allocate a map node. 1024 covers a few full
+  /// backpressure windows. Guarded by out_mu_.
+  NodePool<OutstandingMap> outstanding_nodes_{1024};
   /// Per DC: op lsn -> the redo-log rlsn the DC acked it at
   /// (OperationReply::rlsn). Volatile (cleared by Crash — a restarted TC
   /// conservatively full-resends); pruned at checkpoints alongside the
@@ -584,13 +636,6 @@ class TransactionComponent {
   /// Signaled whenever a DC-recovering gate opens (redo finished, crash,
   /// restart): WaitDcReady blocks on this instead of sleep-polling.
   std::condition_variable dc_ready_cv_;
-  /// (table|key) -> in-flight ops touching it; pipelined conflict gate.
-  std::unordered_map<std::string, std::vector<std::shared_ptr<OutstandingOp>>>
-      inflight_keys_;
-  /// Unacknowledged pipelined ops per (txn, DC) — the backpressure
-  /// window. Signaled whenever a pipelined op completes.
-  std::map<std::pair<TxnId, DcId>, uint32_t> window_counts_;
-  std::condition_variable window_cv_;
 
   std::mutex stream_mu_;
   std::map<uint64_t, std::shared_ptr<ScanStream>> streams_;
@@ -606,6 +651,9 @@ class TransactionComponent {
 
   mutable std::mutex rssp_mu_;
   Lsn rssp_ = 1;
+  /// TakeCheckpoints waiting on DC flushes; while non-zero the control
+  /// daemon pushes EOSL/LWM after every log force (ControlPass).
+  std::atomic<int> checkpoints_flushing_{0};
 
   RepeatingThread control_daemon_;
   RepeatingThread resend_daemon_;

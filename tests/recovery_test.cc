@@ -159,6 +159,117 @@ TEST_F(RecoveryTest, TcCrashLosesUncommittedKeepsCommitted) {
       << "loser transactions must be undone or their effects reset";
 }
 
+// Committed, aborted and one open transaction interleave in the log on
+// shared keys. Restart must undo exactly the open transaction's writes
+// (one CLR each): the committed state is the model, the aborted txns'
+// own CLRs are not repeated.
+TEST_F(RecoveryTest, TcRestartUndoesOnlyTheOpenTxnAmongInterleavedTxns) {
+  Open(Options());
+  TransactionComponent* tc = db_->tc();
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 80; i += 10) {
+    ASSERT_TRUE(Put(Key(i), "init" + std::to_string(i)).ok());
+    model[Key(i)] = "init" + std::to_string(i);
+  }
+  using Write = std::function<Status(TxnId)>;
+  auto update = [tc](const std::string& k, const std::string& v) -> Write {
+    return [=](TxnId t) { return tc->Update(t, kTable, k, v); };
+  };
+  auto upsert = [tc](const std::string& k, const std::string& v) -> Write {
+    return [=](TxnId t) { return tc->Upsert(t, kTable, k, v); };
+  };
+  auto insert = [tc](const std::string& k, const std::string& v) -> Write {
+    return [=](TxnId t) { return tc->Insert(t, kTable, k, v); };
+  };
+  auto erase = [tc](const std::string& k) -> Write {
+    return [=](TxnId t) { return tc->Delete(t, kTable, k); };
+  };
+  auto run = [](TxnId t, const std::vector<Write>& writes) {
+    for (const Write& w : writes) ASSERT_TRUE(w(t).ok());
+  };
+  auto begin = [tc] {
+    StatusOr<TxnId> t = tc->Begin();
+    EXPECT_TRUE(t.ok());
+    return *t;
+  };
+
+  // The open txn writes keys 40..70 (its inserts' next keys are its own
+  // locks); the others stay below 40, so no lock wait can stall the run.
+  const TxnId c1 = begin();
+  run(c1, {update(Key(0), "c1a"), upsert(Key(10), "c1b")});
+  ASSERT_TRUE(tc->Commit(c1).ok());
+  model[Key(0)] = "c1a";
+  model[Key(10)] = "c1b";
+
+  const TxnId open = begin();
+  run(open, {update(Key(40), "o40")});
+
+  const TxnId a1 = begin();
+  run(a1, {update(Key(0), "a1"), upsert(Key(10), "a1b"),
+           insert(Key(15), "a1new")});
+  ASSERT_TRUE(tc->Abort(a1).ok());
+
+  run(open, {erase(Key(50)), insert(Key(45), "o45"), update(Key(70), "o70")});
+
+  const TxnId c2 = begin();
+  run(c2, {update(Key(0), "c2"), erase(Key(10)), insert(Key(25), "c2new")});
+  ASSERT_TRUE(tc->Commit(c2).ok());
+  model[Key(0)] = "c2";
+  model.erase(Key(10));
+  model[Key(25)] = "c2new";
+
+  const TxnId a2 = begin();
+  run(a2, {update(Key(20), "a2"), erase(Key(25))});
+  ASSERT_TRUE(tc->Abort(a2).ok());
+
+  run(open, {upsert(Key(60), "o60"), upsert(Key(65), "o65")});
+
+  // The last commit forces the log past every write of the open txn.
+  const TxnId c3 = begin();
+  run(c3, {update(Key(30), "c3"), upsert(Key(10), "c3b")});
+  ASSERT_TRUE(tc->Commit(c3).ok());
+  model[Key(30)] = "c3";
+  model[Key(10)] = "c3b";
+
+  auto clrs_per_txn = [tc] {
+    std::map<TxnId, int> out;
+    StableLog* log = tc->log();
+    for (uint64_t i = log->truncated_prefix(); i < log->stable_end(); ++i) {
+      std::string payload;
+      if (!log->ReadAt(i, &payload).ok()) continue;
+      Slice in(payload);
+      TcLogRecord rec;
+      if (!TcLogRecord::DecodeFrom(&in, &rec)) continue;
+      if (rec.type == TcLogRecordType::kClr) ++out[rec.txn];
+    }
+    return out;
+  };
+  const std::map<TxnId, int> before = clrs_per_txn();
+  EXPECT_EQ(before.count(open), 0u);
+  EXPECT_EQ(before.at(a1), 3);
+  EXPECT_EQ(before.at(a2), 2);
+
+  db_->CrashTc();
+  ASSERT_TRUE(db_->RestartTc().ok());
+
+  const std::map<TxnId, int> after = clrs_per_txn();
+  EXPECT_EQ(after.at(open), 6) << "one CLR per write of the open txn";
+  EXPECT_EQ(after.at(a1), 3);
+  EXPECT_EQ(after.at(a2), 2);
+  EXPECT_EQ(after.count(c1) + after.count(c2) + after.count(c3), 0u);
+  for (int i = 0; i < 80; i += 5) {
+    StatusOr<std::string> got = Get(Key(i));
+    auto it = model.find(Key(i));
+    if (it == model.end()) {
+      EXPECT_TRUE(got.status().IsNotFound()) << Key(i);
+    } else {
+      ASSERT_TRUE(got.ok()) << Key(i) << ": " << got.status().ToString();
+      EXPECT_EQ(*got, it->second) << Key(i);
+    }
+  }
+  EXPECT_EQ(ScanAll(), model);
+}
+
 TEST_F(RecoveryTest, TcCrashAfterCommitIsDurable) {
   Open(Options());
   for (int i = 0; i < 50; ++i) {
