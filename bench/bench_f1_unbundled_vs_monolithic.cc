@@ -3,7 +3,7 @@
 // operations. The paper predicts the unbundled kernel "inevitably has
 // longer code paths"; this bench quantifies the overhead of the
 // arm's-length interaction (LSN reservation, request/reply structs,
-// idempotence bookkeeping, reply cache) against the bundled call path.
+// idempotence bookkeeping, duplicate filter) against the bundled call path.
 #include "bench_util.h"
 
 namespace untx {

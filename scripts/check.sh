@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verify with warnings on: configure, build, ctest.
-# Usage: scripts/check.sh [--asan|--tsan|--socket|--stress N|--bench-smoke]
-#                         [--filter REGEX] [extra cmake args...]
+# Usage: scripts/check.sh [--asan|--tsan|--socket|--bench-smoke]
+#                         [--stress N] [--filter REGEX] [extra cmake args...]
 #   --asan    build and test under ASan+UBSan (its own build dir), so the
 #             concurrent multi-TC / channel paths are sanitizer-checked.
 #   --tsan    build and test under ThreadSanitizer (its own build dir) —
@@ -12,10 +12,14 @@
 #             failover suite (dc_replication_test), and the
 #             separate-process daemons (untx_tcd/untx_dcd SIGKILL'd,
 #             promoted and recovered by process_cluster_test).
-#   --stress N  the default build, then the whole ctest suite N times at
-#             -j$(nproc), so load-dependent flakes show up. Every failing
-#             round's output is kept as $BUILD_DIR/stress-logs/round-K.log;
-#             the script exits non-zero if any round failed.
+#   --stress N  run the ctest suite N times at -j$(nproc) after the
+#             build, so load-dependent flakes show up. Combines with
+#             --asan, --tsan or --socket (their build, their suites);
+#             alone it uses the default build. Every failing round's
+#             output is kept as $BUILD_DIR/stress-logs/round-K.log; the
+#             script exits non-zero if any round failed. A sanitizer
+#             loop is one command, e.g.
+#             scripts/check.sh --asan --stress 200 --filter batch_wire_test
 #   --bench-smoke  no ctest: for every workload BENCHMARK.json names, run
 #             python3 perfbench/run.py --workload W --seed 1 --seconds 1
 #             (it builds its own Release tree under .bench_build/; the
@@ -39,8 +43,8 @@ STRESS_ROUNDS=0
 MODE=""
 FILTER=""
 usage() {
-  echo "usage: scripts/check.sh [--asan|--tsan|--socket|--stress N" \
-    "|--bench-smoke] [--filter REGEX] [cmake args...]" >&2
+  echo "usage: scripts/check.sh [--asan|--tsan|--socket|--bench-smoke]" \
+    "[--stress N] [--filter REGEX] [cmake args...]" >&2
   exit 2
 }
 while (( $# > 0 )); do
@@ -52,7 +56,6 @@ while (( $# > 0 )); do
     --stress)
       STRESS_ROUNDS="${2:-}"
       [[ "$STRESS_ROUNDS" =~ ^[1-9][0-9]*$ ]] || usage
-      MODE="$1"
       shift 2
       ;;
     --filter)

@@ -291,10 +291,10 @@ void BufferPool::OnEndOfStableLog(TcId tc, Lsn eosl) {
   sync_cv_.notify_all();
 }
 
-void BufferPool::OnLowWaterMark(TcId tc, Lsn lwm) {
+bool BufferPool::OnLowWaterMark(TcId tc, Lsn lwm) {
   {
     std::lock_guard<std::mutex> guard(mu_);
-    if (lwm_allowed_.count(tc) == 0) return;  // not re-armed yet
+    if (lwm_allowed_.count(tc) == 0) return false;  // not re-armed yet
     Lsn& current = lwm_[tc];
     if (lwm > current) current = lwm;
   }
@@ -321,6 +321,7 @@ void BufferPool::OnLowWaterMark(TcId tc, Lsn lwm) {
     Unpin(frame);
   }
   sync_cv_.notify_all();
+  return true;
 }
 
 Lsn BufferPool::eosl_for(TcId tc) const {

@@ -148,7 +148,8 @@ class BufferPool {
 
   /// Control-message sinks.
   void OnEndOfStableLog(TcId tc, Lsn eosl);
-  void OnLowWaterMark(TcId tc, Lsn lwm);
+  /// False (and ignored) while the TC's LWM contract is not armed.
+  bool OnLowWaterMark(TcId tc, Lsn lwm);
 
   /// LWM validity protocol (a rule derived here, not stated in the
   /// paper): after any DC state regression (crash-revert or TC-reset), a

@@ -100,14 +100,7 @@ void DataComponent::Crash() {
     // may lag the durable redo prefix until it is replayed.
     redo_state_current_.store(false);
   }
-  {
-    std::lock_guard<std::mutex> guard(reply_mu_);
-    reply_cache_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> guard(sentinel_mu_);
-    in_flight_.clear();
-  }
+  filter_.Clear();
   {
     // Every TC's next redo pass starts fresh against the reverted state.
     std::lock_guard<std::mutex> guard(redo_mu_);
@@ -168,80 +161,46 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
   } else {
     stats_.reads.fetch_add(1);
   }
-  // Idempotence: a resend of an op whose reply we still have is answered
-  // from the reply cache (for sentinel-admitted writes, by AdmitWrite).
+  // Idempotence: a write holds its filter slot until its reply is
+  // stored, and every copy of it (channel duplicate or TC resend) gets
+  // that reply. So a copy can neither re-execute against a later state
+  // nor hand the TC a reply without the original's undo image.
   //
-  // NEVER for recovery resends: a redo stream re-establishes page
-  // state after a regression (DC crash revert, TC-reset page
-  // drop/merge), and the reply cache describes executions against the
-  // PRE-regression state. Worse, LWM pruning erases a cache PREFIX,
-  // so the cache can hold a CLR while the forward op it compensates
-  // is gone — answering the CLR from the cache while the forward op
-  // re-executes resurrects aborted writes. Redo is judged solely by
-  // the page abLSN, which is causally tied to the page content.
-  auto answer_cached = [&] {
-    stats_.reply_cache_hits.fetch_add(1);
-    reply.was_duplicate = true;
-    return reply;
-  };
-
-  if (req.op == OpType::kCreateTable) {
-    if (!req.recovery_resend && LookupReply(req.tc_id, req.lsn, &reply)) {
-      return answer_cached();
-    }
-    reply = DoCreateTable(req);
-    MaybeAppendRedo(req, &reply, record_redo, defer_redo_force);
-    CacheReply(reply);
-    return reply;
-  }
-
+  // Recovery resends never get a stored reply: a redo stream
+  // re-establishes page state after a regression (DC crash revert,
+  // TC-reset page drop/merge), and the stored replies describe
+  // executions against the PRE-regression state. Worse, LWM pruning
+  // drops a PREFIX, so the filter can hold a CLR's reply while the
+  // forward op it compensates is gone — answering the CLR while the
+  // forward op re-executes resurrects aborted writes. Redo is judged
+  // solely by the page abLSN, which is causally tied to the page content.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  // A write holds the conflict sentinel until its reply is cached: a copy
-  // of it (channel duplicate or TC resend) admitted afterwards is answered
-  // from the cache, so it can neither re-execute against a later state
-  // nor hand the TC a reply without the original's undo image.
-  bool admitted = false;
-  struct SentinelRelease {
-    DataComponent* dc;
-    const OperationRequest& req;
-    const bool& admitted;
-    ~SentinelRelease() {
-      if (admitted) dc->ExitSentinel(req);
-    }
-  } release{this, req, admitted};
-  while (is_write && !admitted) {
-    switch (AdmitWrite(req, &reply)) {
-      case Admission::kEnter:
-        admitted = true;
+  // A copy that waited for its original and then enters (the original
+  // did not complete) meets the crash check at the top of the loop below.
+  DuplicateFilter::Ticket ticket;
+  if (is_write) {
+    switch (filter_.Admit(req, deadline, &reply, &ticket)) {
+      case DuplicateFilter::Verdict::kEnter:
         break;
-      case Admission::kAnswered:
-        return answer_cached();
-      case Admission::kConflict:
-        stats_.conflicts_detected.fetch_add(1);
-        reply.status = Status::Conflict(
-            "concurrent conflicting operation — TC contract violation");
-        CacheReply(reply);
+      case DuplicateFilter::Verdict::kAnswered:
+        stats_.reply_cache_hits.fetch_add(1);
         return reply;
-      case Admission::kDuplicateInFlight:
-        // Another copy of this very request is executing: wait for it.
-        if (crashed_.load()) {
-          reply.status = Status::Crashed("dc went down mid-operation");
-          return reply;
-        }
-        if (std::chrono::steady_clock::now() > deadline) {
-          reply.status = Status::TimedOut("duplicate kept executing");
-          return reply;
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        break;
+      case DuplicateFilter::Verdict::kBelowFloor:
+        stats_.duplicate_hits.fetch_add(1);
+        return reply;
+      case DuplicateFilter::Verdict::kConflict:
+        stats_.conflicts_detected.fetch_add(1);
+        return reply;
+      case DuplicateFilter::Verdict::kTimedOut:
+        return reply;
     }
   }
 
   for (;;) {
     if (crashed_.load()) {
       reply.status = Status::Crashed("dc went down mid-operation");
-      return reply;
+      break;
     }
     ApplyOutcome outcome;
     reply = ApplyOnce(req, &outcome);
@@ -277,14 +236,17 @@ OperationReply DataComponent::PerformImpl(const OperationRequest& req,
     break;
   }
 
-  if (is_write && !reply.status.IsBusy() && !reply.status.IsCrashed()) {
-    // Redo append + force BEFORE the reply escapes: every op the TC has
-    // seen acked is in the durable redo log, so a replica promoted (or a
-    // --recover restart) only ever misses ops the TC still counts as
-    // in-flight and will resend.
-    MaybeAppendRedo(req, &reply, record_redo, defer_redo_force);
-    CacheReply(reply);
+  if (!is_write) return reply;
+  if (reply.status.IsBusy() || reply.status.IsCrashed()) {
+    filter_.Abandon(ticket);  // not executed: a copy may execute instead
+    return reply;
   }
+  // Redo append + force BEFORE the reply escapes: every op the TC has
+  // seen acked is in the durable redo log, so a replica promoted (or a
+  // --recover restart) only ever misses ops the TC still counts as
+  // in-flight and will resend.
+  MaybeAppendRedo(req, &reply, record_redo, defer_redo_force);
+  filter_.Answer(ticket, reply);
   return reply;
 }
 
@@ -295,7 +257,7 @@ void DataComponent::MaybeAppendRedo(const OperationRequest& req,
   if (!IsWriteOp(req.op) || reply->was_duplicate) return;
   // Only logical completions advance the abLSN (ok / NotFound /
   // AlreadyExists — see ApplyOnce); anything else did not apply and
-  // must not replicate. An abLSN-covered duplicate (reply cache already
+  // must not replicate. An abLSN-covered duplicate (stored reply already
   // pruned) is NOT re-appended: its reply carries rlsn 0, so the TC
   // keeps no replication record for it and re-drives it on failover.
   if (!(reply->status.ok() || reply->status.IsNotFound() ||
@@ -329,6 +291,14 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
   reply.tc_id = req.tc_id;
   reply.lsn = req.lsn;
 
+  if (req.op == OpType::kCreateTable) {
+    reply.status = btree_->CreateTable(req.table_id);
+    if (reply.status.IsAlreadyExists()) {  // an idempotent resend
+      reply.status = Status::OK();
+      reply.was_duplicate = true;
+    }
+    return reply;
+  }
   if (!IsWriteOp(req.op)) {
     switch (req.op) {
       case OpType::kRead:
@@ -342,7 +312,7 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
     }
   }
 
-  // Write path; PerformImpl has admitted it through the conflict sentinel.
+  // Write path; PerformImpl has admitted it through the duplicate filter.
   Frame* leaf = nullptr;
   Status s = btree_->LocateLeaf(req.table_id, req.key, /*exclusive=*/true,
                                 &leaf);
@@ -773,20 +743,6 @@ OperationReply DataComponent::DoScan(const OperationRequest& req) {
   return reply;
 }
 
-OperationReply DataComponent::DoCreateTable(const OperationRequest& req) {
-  OperationReply reply;
-  reply.tc_id = req.tc_id;
-  reply.lsn = req.lsn;
-  Status s = btree_->CreateTable(req.table_id);
-  if (s.IsAlreadyExists()) {
-    reply.status = Status::OK();  // idempotent resend
-    reply.was_duplicate = true;
-  } else {
-    reply.status = s;
-  }
-  return reply;
-}
-
 // ---- Credited scan streams with DC-side cursors (PR 4) -----------------------
 
 namespace {
@@ -1186,8 +1142,8 @@ ControlReply DataComponent::Control(const ControlRequest& req) {
       reply.status = Status::OK();
       break;
     case ControlType::kLowWaterMark:
-      pool_->OnLowWaterMark(req.tc_id, req.lsn);
-      PruneReplies(req.tc_id, req.lsn);
+      filter_.Advance(req.tc_id, req.lsn,
+                      pool_->OnLowWaterMark(req.tc_id, req.lsn));
       AppendRedoControl(RedoEntryKind::kLwm, req.tc_id, req.lsn);
       reply.status = Status::OK();
       break;
@@ -1446,16 +1402,15 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
                      escalate_set.end());
 
   // Invalidate state that describes pre-reset executions: the failed
-  // TC's reply cache (its log tail is gone) and, for every escalated TC,
-  // both the reply cache and the LWM (their page effects were dropped —
-  // stale replies or LWM folding would silently skip their resends).
-  // This runs even when the reset fails: the pages it did drop are gone.
-  {
-    std::lock_guard<std::mutex> guard(reply_mu_);
-    reply_cache_.erase(tc);
-    for (TcId victim : escalate_set) reply_cache_.erase(victim);
-  }
+  // TC's filter window and floor (its log tail is gone, and its next
+  // incarnation reuses LSNs past its stable end, which its LWM could
+  // pass) and, for every escalated TC, both the window and the LWM
+  // (their page effects were dropped — stale replies or LWM folding
+  // would silently skip their resends). This runs even when the reset
+  // fails: the pages it did drop are gone.
   for (TcId victim : escalate_set) pool_->DisallowLwm(victim);
+  filter_.Forget(tc);
+  for (TcId victim : escalate_set) filter_.Forget(victim);
   {
     // A NEW regression: the failed TC's and every escalated TC's next
     // redo pass must re-establish state from scratch.
@@ -1544,129 +1499,29 @@ std::vector<OperationReply> DataComponent::PerformBatch(
     const std::vector<OperationRequest>& reqs) {
   stats_.batches.fetch_add(1);
   stats_.batched_ops.fetch_add(reqs.size());
-  std::vector<OperationReply> replies(reqs.size());
-  if (crashed_.load() || role_.load() == DcRole::kReplica) {
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      replies[i].tc_id = reqs[i].tc_id;
-      replies[i].lsn = reqs[i].lsn;
-      replies[i].status = crashed_.load()
-                              ? Status::Crashed("dc is down")
-                              : Status::Crashed("dc is a replica");
-    }
+  std::vector<OperationReply> replies;
+  replies.reserve(reqs.size());
+  if (role_.load() == DcRole::kReplica) {
+    for (const auto& req : reqs) replies.push_back(Perform(req));  // refused
     return replies;
   }
-  std::vector<bool> served(reqs.size(), false);
   // A batch carrying recovery resends executes as ONE serial unit (see
   // Perform): duplicated copies of the same redo message must not
   // interleave their re-executions across server threads.
   std::unique_lock<std::recursive_mutex> recovery_serial;
+  if (std::any_of(reqs.begin(), reqs.end(),
+                  [](const auto& req) { return req.recovery_resend; })) {
+    recovery_serial =
+        std::unique_lock<std::recursive_mutex>(recovery_serial_mu_);
+  }
   for (const auto& req : reqs) {
-    if (req.recovery_resend) {
-      recovery_serial =
-          std::unique_lock<std::recursive_mutex>(recovery_serial_mu_);
-      break;
-    }
-  }
-  // One reply-cache sweep for the whole batch: a duplicate batch (channel
-  // duplication or a TC resend) is answered wholesale without touching
-  // the tree or re-entering the idempotence machinery per op. Recovery
-  // resends are exempt (see Perform): redo must be judged by the page
-  // abLSN alone, never by replies describing pre-regression executions.
-  {
-    std::lock_guard<std::mutex> guard(reply_mu_);
-    for (size_t i = 0; i < reqs.size(); ++i) {
-      if (!IsWriteOp(reqs[i].op) || reqs[i].recovery_resend) continue;
-      auto tc_it = reply_cache_.find(reqs[i].tc_id);
-      if (tc_it == reply_cache_.end()) continue;
-      auto it = tc_it->second.find(reqs[i].lsn);
-      if (it == tc_it->second.end()) continue;
-      replies[i] = it->second;
-      replies[i].was_duplicate = true;
-      served[i] = true;
-    }
-  }
-  for (size_t i = 0; i < reqs.size(); ++i) {
-    if (served[i]) {
-      stats_.ops.fetch_add(1);
-      stats_.writes.fetch_add(1);
-      stats_.reply_cache_hits.fetch_add(1);
-      continue;
-    }
-    replies[i] = PerformImpl(reqs[i], /*record_redo=*/true,
-                             /*defer_redo_force=*/true);
+    replies.push_back(PerformImpl(req, /*record_redo=*/true,
+                                  /*defer_redo_force=*/true));
   }
   // One redo force for the whole batch (group commit): no reply leaves
   // this message handler before its entry is durable.
   if (redo_log_ != nullptr) redo_log_->Force();
   return replies;
-}
-
-void DataComponent::CacheReply(const OperationReply& reply) {
-  std::lock_guard<std::mutex> guard(reply_mu_);
-  reply_nodes_.Put(&reply_cache_[reply.tc_id], reply.lsn, reply);
-}
-
-bool DataComponent::LookupReply(TcId tc, Lsn lsn, OperationReply* out) {
-  std::lock_guard<std::mutex> guard(reply_mu_);
-  auto tc_it = reply_cache_.find(tc);
-  if (tc_it == reply_cache_.end()) return false;
-  auto it = tc_it->second.find(lsn);
-  if (it == tc_it->second.end()) return false;
-  *out = it->second;
-  return true;
-}
-
-void DataComponent::PruneReplies(TcId tc, Lsn lwm) {
-  std::lock_guard<std::mutex> guard(reply_mu_);
-  auto tc_it = reply_cache_.find(tc);
-  if (tc_it == reply_cache_.end()) return;
-  auto& per_lsn = tc_it->second;
-  const auto end = per_lsn.upper_bound(lwm);
-  for (auto it = per_lsn.begin(); it != end;) {
-    it = reply_nodes_.Erase(&per_lsn, it);
-  }
-}
-
-DataComponent::Admission DataComponent::AdmitWrite(
-    const OperationRequest& req, OperationReply* cached) {
-  if (!options_.conflict_sentinel) {
-    return !req.recovery_resend && LookupReply(req.tc_id, req.lsn, cached)
-               ? Admission::kAnswered
-               : Admission::kEnter;
-  }
-  std::lock_guard<std::mutex> guard(sentinel_mu_);
-  if (!req.recovery_resend && LookupReply(req.tc_id, req.lsn, cached)) {
-    return Admission::kAnswered;
-  }
-  InFlightWrite* free_slot = nullptr;
-  for (InFlightWrite& slot : in_flight_) {
-    if (!slot.used) {
-      if (free_slot == nullptr) free_slot = &slot;
-      continue;
-    }
-    if (slot.table != req.table_id || slot.key != req.key) continue;
-    return slot.tc == req.tc_id && slot.lsn == req.lsn
-               ? Admission::kDuplicateInFlight
-               : Admission::kConflict;
-  }
-  if (free_slot == nullptr) free_slot = &in_flight_.emplace_back();
-  free_slot->used = true;
-  free_slot->table = req.table_id;
-  free_slot->key = req.key;
-  free_slot->tc = req.tc_id;
-  free_slot->lsn = req.lsn;
-  return Admission::kEnter;
-}
-
-void DataComponent::ExitSentinel(const OperationRequest& req) {
-  if (!options_.conflict_sentinel) return;
-  std::lock_guard<std::mutex> guard(sentinel_mu_);
-  for (InFlightWrite& slot : in_flight_) {
-    if (slot.used && slot.table == req.table_id && slot.key == req.key) {
-      slot.used = false;
-      return;
-    }
-  }
 }
 
 // -- Replication & local recovery (PR 8) --------------------------------------
@@ -1753,8 +1608,8 @@ Status DataComponent::ApplyOneReplicated(const RedoEntry& entry) {
       return Status::OK();
     }
     case RedoEntryKind::kLwm:
-      pool_->OnLowWaterMark(entry.tc, entry.lsn);
-      PruneReplies(entry.tc, entry.lsn);
+      filter_.Advance(entry.tc, entry.lsn,
+                      pool_->OnLowWaterMark(entry.tc, entry.lsn));
       return Status::OK();
     case RedoEntryKind::kEosl:
       pool_->OnEndOfStableLog(entry.tc, entry.lsn);
@@ -1843,14 +1698,7 @@ Status DataComponent::ReplicaResetByReplay() {
     std::lock_guard<std::mutex> guard(reset_mu_);
     reset_undropped_.clear();
   }
-  {
-    std::lock_guard<std::mutex> guard(reply_mu_);
-    reply_cache_.clear();
-  }
-  {
-    std::lock_guard<std::mutex> guard(sentinel_mu_);
-    in_flight_.clear();
-  }
+  filter_.Clear();
   {
     std::lock_guard<std::mutex> guard(redo_mu_);
     redo_fresh_max_.clear();

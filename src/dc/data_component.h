@@ -8,20 +8,19 @@
 // Responsibilities implemented here:
 //  * atomic logical record operations over the B-tree (page latches held
 //    for the duration of one operation only);
-//  * idempotence via abstract page LSNs + a volatile reply cache pruned
-//    by the TC's low-water mark, so resends return the original result;
+//  * idempotence via abstract page LSNs + a volatile duplicate filter
+//    (dc/duplicate_filter.h) pruned by the TC's low-water mark, so
+//    resends return the original result and no two conflicting writes
+//    execute at once (the TC's §1.2 obligation, reported as Conflict);
 //  * record versioning (before-versions) for cross-TC read committed
 //    (§6.2.2), with promote/rollback version operations;
 //  * the control half of the TC:DC contract: EOSL, LWM, checkpoint,
 //    restart/reset, DC-local checkpoint;
-//  * crash (lose buffer pool, reply caches, volatile DC log) and recovery
+//  * crash (lose buffer pool, duplicate filter, volatile DC log) and recovery
 //    (replay committed SMOs *before* any TC redo, §5.2.2);
 //  * the TC-crash page reset of §5.3.2/§6.1.2: evict exactly the cached
 //    pages whose abLSN covers operations beyond the failed TC's stable
 //    log; on multi-TC pages, reset only the failed TC's records.
-//
-// A debug "conflict sentinel" asserts the TC obligation that no two
-// conflicting operations are ever in flight concurrently (§1.2).
 #pragma once
 
 #include <atomic>
@@ -41,8 +40,8 @@
 #include "dc/dc_api.h"
 #include "dc/dc_log.h"
 #include "dc/dc_redo_log.h"
+#include "dc/duplicate_filter.h"
 #include "storage/stable_store.h"
-#include "util/node_pool.h"
 
 namespace untx {
 
@@ -50,8 +49,6 @@ struct DataComponentOptions {
   BufferPoolOptions buffer_pool;
   BTreeOptions btree;
   StableLogOptions dc_log;
-  /// Debug-mode check that the TC never sends concurrent conflicting ops.
-  bool conflict_sentinel = true;
   /// Upper bound on value size; several records must fit per page.
   uint32_t max_value_size = 1024;
   /// Default result bound for scans/probes when the request says 0.
@@ -126,7 +123,7 @@ class DataComponent : public DcService {
   /// the TC performs redo (§5.2.2). The TC then resends from its RSSP.
   Status Recover();
 
-  /// Simulated crash: loses the buffer pool, reply caches and the
+  /// Simulated crash: loses the buffer pool, duplicate filter and the
   /// volatile DC-log tail. Blocks new operations until Restore().
   void Crash();
 
@@ -139,10 +136,9 @@ class DataComponent : public DcService {
   OperationReply Perform(const OperationRequest& req) override;
   ControlReply Control(const ControlRequest& req) override;
 
-  /// Batched entry point for the kOperationBatch wire message. Sweeps the
-  /// reply cache once (one lock acquisition) for every write in the
-  /// batch — a resent batch is answered wholesale from cached replies —
-  /// then performs the misses in request order.
+  /// Batched entry point for the kOperationBatch wire message: performs
+  /// the ops in request order (a resent batch is answered from the
+  /// duplicate filter) and forces the redo log once for all of them.
   std::vector<OperationReply> PerformBatch(
       const std::vector<OperationRequest>& reqs) override;
 
@@ -163,10 +159,10 @@ class DataComponent : public DcService {
   /// Open (parked or in-production) scan cursors. For tests.
   size_t ScanCursorCount() const;
   /// A TC's network session dropped: evict its parked scan cursors (a
-  /// reconnecting TC restarts streams from scratch). The reply cache is
-  /// deliberately KEPT — the TC will resend in-flight ops after the
-  /// redial and idempotence depends on the cached replies; the LWM prunes
-  /// them as always (§4.2).
+  /// reconnecting TC restarts streams from scratch). The duplicate
+  /// filter is deliberately KEPT — the TC will resend in-flight ops after
+  /// the redial and idempotence depends on the stored replies; the LWM
+  /// prunes them as always (§4.2).
   void OnTcDisconnect(TcId tc);
   /// Evicts cursors idle longer than the TTL; returns how many. Runs
   /// implicitly on every stream open / credit; exposed for tests.
@@ -185,7 +181,7 @@ class DataComponent : public DcService {
   void StartAsReplica();
 
   /// Fences the replica at `epoch` and opens it as the primary. The
-  /// reply cache built while applying the stream answers in-flight TC
+  /// replies stored while applying the stream answer in-flight TC
   /// resends idempotently, so a caught-up standby promotes with zero
   /// full redo-resend.
   void Promote(uint64_t epoch);
@@ -259,7 +255,6 @@ class DataComponent : public DcService {
   OperationReply ApplyOnce(const OperationRequest& req, ApplyOutcome* out);
   OperationReply DoRead(const OperationRequest& req);
   OperationReply DoScan(const OperationRequest& req);
-  OperationReply DoCreateTable(const OperationRequest& req);
 
   /// One open scan stream's DC-side state. `mu` serializes chunk
   /// production (two server threads may race a credit and the original
@@ -330,21 +325,6 @@ class DataComponent : public DcService {
   /// merge could not be performed (caller escalates).
   bool MergeResetLocked(Frame* frame, TcId tc, const std::vector<char>& stable);
 
-  // Reply cache.
-  void CacheReply(const OperationReply& reply);
-  bool LookupReply(TcId tc, Lsn lsn, OperationReply* out);
-  void PruneReplies(TcId tc, Lsn lwm);
-
-  // Conflict sentinel. A write holds it from admission until its reply
-  // is cached, so a copy of the write admitted later finds that reply.
-  enum class Admission { kEnter, kAnswered, kDuplicateInFlight, kConflict };
-  /// kAnswered (with the reply in *cached) when the reply cache already
-  /// holds this request's reply; checked under the sentinel lock, so a
-  /// late copy of a finished write is never re-executed. Recovery
-  /// resends skip the cache (see PerformImpl).
-  Admission AdmitWrite(const OperationRequest& req, OperationReply* cached);
-  void ExitSentinel(const OperationRequest& req);
-
   StableStore* store_;
   DataComponentOptions options_;
   std::unique_ptr<DcLog> dc_log_;
@@ -375,26 +355,9 @@ class DataComponent : public DcService {
   std::mutex quiesce_mu_;
   std::condition_variable quiesce_cv_;
 
-  using ReplyMap = std::map<Lsn, OperationReply>;
-  std::mutex reply_mu_;
-  std::map<TcId, ReplyMap> reply_cache_;
-  /// Nodes LWM pruning freed, reused by CacheReply (with their value
-  /// buffers). 1024 bounds what the spares pin (a few hundred KiB) while
-  /// covering most of an LWM interval's writes. Guarded by reply_mu_.
-  NodePool<ReplyMap> reply_nodes_{1024};
-
-  /// One write inside the conflict sentinel. Slots are reused, so
-  /// entering the sentinel allocates only when more writes run at once
-  /// than ever before (or a key outgrows its slot's buffer).
-  struct InFlightWrite {
-    bool used = false;
-    TableId table = kInvalidTableId;
-    std::string key;
-    TcId tc = 0;
-    Lsn lsn = kInvalidLsn;
-  };
-  std::mutex sentinel_mu_;
-  std::vector<InFlightWrite> in_flight_;
+  /// Every write passes it: one execution per (tc, lsn), one reply for
+  /// all of its copies.
+  DuplicateFilter filter_;
 
   mutable std::mutex cursor_mu_;
   std::map<std::pair<TcId, uint64_t>, std::shared_ptr<ScanCursor>> cursors_;

@@ -272,8 +272,8 @@ class DcService {
   virtual ControlReply Control(const ControlRequest& req) = 0;
 
   /// Performs a batch, one reply per request in order. The default just
-  /// loops; DataComponent overrides it to sweep the reply cache once for
-  /// the whole batch before touching the tree.
+  /// loops; DataComponent overrides it to force its redo log once for
+  /// the whole batch.
   virtual std::vector<OperationReply> PerformBatch(
       const std::vector<OperationRequest>& reqs) {
     std::vector<OperationReply> replies;

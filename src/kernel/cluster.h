@@ -257,7 +257,7 @@ class Cluster {
   uint64_t TotalPromoteOpsCarried() const;
 
   // -- Fault injection (§5.3, §6.1.2) -----------------------------------------
-  /// Kills DC d: its cache, reply caches and volatile DC-log tail
+  /// Kills DC d: its cache, duplicate filter and volatile DC-log tail
   /// vanish; in-flight requests to it (from every TC) are dropped.
   void CrashDc(int d);
   /// Revives DC d: local SMO recovery first (§5.2.2), then EVERY TC

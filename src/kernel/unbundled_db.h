@@ -55,8 +55,8 @@ class UnbundledDb {
   Status CreateTable(TableId table) { return tc()->CreateTable(table); }
 
   // -- Fault injection -----------------------------------------------------------
-  /// Kills DC i: its cache, reply caches and volatile DC-log tail vanish;
-  /// in-flight requests to it are dropped.
+  /// Kills DC i: its cache, duplicate filter and volatile DC-log tail
+  /// vanish; in-flight requests to it are dropped.
   void CrashDc(int i) { cluster_->CrashDc(i); }
   /// Revives DC i: local SMO recovery first (§5.2.2), then the TC
   /// redo-resends from the RSSP (§5.3.2 "DC Failure").

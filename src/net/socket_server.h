@@ -10,7 +10,7 @@
 // RecoverDc). When a session closes — TC crash, network drop, or clean
 // shutdown — the server evicts the DC-side scan cursors of the TCs that
 // session served (no other live session still serving them), exactly as
-// a TC reset would; the reply cache is kept for resend idempotence.
+// a TC reset would; the duplicate filter is kept for resend idempotence.
 #pragma once
 
 #include <atomic>

@@ -71,23 +71,23 @@ std::vector<TxnId> LockManager::BlockersLocked(const LockEntry& entry,
   return blockers;
 }
 
-Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode) {
+Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode,
+                         bool* newly_held) {
   std::unique_lock<std::mutex> lock(mu_);
   LockEntry& entry = table_[name];
 
+  auto own = std::find_if(entry.holders.begin(), entry.holders.end(),
+                          [txn](const auto& h) { return h.first == txn; });
+  const bool holds_already = own != entry.holders.end();
+  if (newly_held != nullptr) *newly_held = !holds_already;
   // Already held strongly enough?
-  for (const auto& [holder, held_mode] : entry.holders) {
-    if (holder == txn &&
-        (held_mode == LockMode::kExclusive || mode == LockMode::kShared)) {
-      return Status::OK();
-    }
+  if (holds_already &&
+      (own->second == LockMode::kExclusive || mode == LockMode::kShared)) {
+    return Status::OK();
   }
 
   // Fast path: compatible and nobody queued ahead (except when upgrading,
   // which may barge — the holder would otherwise deadlock behind itself).
-  const bool holds_already =
-      std::any_of(entry.holders.begin(), entry.holders.end(),
-                  [txn](const auto& h) { return h.first == txn; });
   if (CompatibleLocked(entry, txn, mode) &&
       (entry.waiters.empty() || holds_already)) {
     GrantLocked(&entry, txn, mode);
@@ -150,16 +150,17 @@ Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode) {
 
 Status LockManager::LockInstant(TxnId txn, const std::string& name,
                                 LockMode mode) {
-  Status s = Lock(txn, name, mode);
-  if (!s.ok()) return s;
-  // Instant duration: release just this lock (unless the txn held it
-  // already — then keep it; releasing would break 2PL).
+  bool newly_held = false;
+  Status s = Lock(txn, name, mode, &newly_held);
+  if (!s.ok() || !newly_held) return s;
+  // The conflict check is done; release the new grant at once.
   std::lock_guard<std::mutex> guard(mu_);
+  DropHolderLocked(txn, name);
   auto held_it = held_.find(txn);
-  if (held_it == held_.end()) return Status::OK();
-  // We cannot tell "newly acquired" from "reacquired"; conservatively keep
-  // the lock. Instant semantics only matter for conflict detection, which
-  // already happened inside Lock().
+  if (held_it != held_.end()) {
+    held_it->second.erase(name);
+    if (held_it->second.empty()) held_.erase(held_it);
+  }
   return Status::OK();
 }
 
@@ -181,6 +182,21 @@ void LockManager::WakeWaitersLocked(LockEntry* entry) {
   cv_.notify_all();
 }
 
+void LockManager::DropHolderLocked(TxnId txn, const std::string& name) {
+  auto table_it = table_.find(name);
+  if (table_it == table_.end()) return;
+  LockEntry& entry = table_it->second;
+  entry.holders.erase(
+      std::remove_if(entry.holders.begin(), entry.holders.end(),
+                     [txn](const auto& h) { return h.first == txn; }),
+      entry.holders.end());
+  if (entry.holders.empty() && entry.waiters.empty()) {
+    table_.erase(table_it);
+  } else {
+    WakeWaitersLocked(&entry);
+  }
+}
+
 void LockManager::ReleaseAll(TxnId txn) {
   std::lock_guard<std::mutex> guard(mu_);
   auto held_it = held_.find(txn);
@@ -188,20 +204,7 @@ void LockManager::ReleaseAll(TxnId txn) {
     wait_graph_.RemoveTxn(txn);
     return;
   }
-  for (const std::string& name : held_it->second) {
-    auto table_it = table_.find(name);
-    if (table_it == table_.end()) continue;
-    LockEntry& entry = table_it->second;
-    entry.holders.erase(
-        std::remove_if(entry.holders.begin(), entry.holders.end(),
-                       [txn](const auto& h) { return h.first == txn; }),
-        entry.holders.end());
-    if (entry.holders.empty() && entry.waiters.empty()) {
-      table_.erase(table_it);
-    } else {
-      WakeWaitersLocked(&entry);
-    }
-  }
+  for (const std::string& name : held_it->second) DropHolderLocked(txn, name);
   held_.erase(held_it);
   wait_graph_.RemoveTxn(txn);
   cv_.notify_all();

@@ -54,11 +54,15 @@ class LockManager {
 
   /// Acquires (or upgrades to) `mode` on `name` for `txn`. Blocks until
   /// granted, deadlock (kDeadlock) or timeout (kTimedOut). Re-entrant:
-  /// holding X satisfies an S request.
-  Status Lock(TxnId txn, const std::string& name, LockMode mode);
+  /// holding X satisfies an S request. `newly_held` (optional) reports
+  /// whether txn held no lock on `name` before.
+  Status Lock(TxnId txn, const std::string& name, LockMode mode,
+              bool* newly_held = nullptr);
 
   /// Instant-duration lock: acquire then immediately release. Used for
-  /// next-key probes during inserts under the fetch-ahead protocol.
+  /// next-key probes during inserts under the fetch-ahead protocol. A
+  /// lock the txn already held (or its upgrade) is kept: releasing it
+  /// would break 2PL.
   Status LockInstant(TxnId txn, const std::string& name, LockMode mode);
 
   /// Releases every lock held by txn (strict 2PL release point).
@@ -86,6 +90,9 @@ class LockManager {
   bool CompatibleLocked(const LockEntry& entry, TxnId txn,
                         LockMode mode) const;
   void GrantLocked(LockEntry* entry, TxnId txn, LockMode mode);
+  /// Removes txn from the holders of `name` and wakes its waiters (or
+  /// erases the entry when nobody is left). Leaves held_ alone.
+  void DropHolderLocked(TxnId txn, const std::string& name);
   void WakeWaitersLocked(LockEntry* entry);
   std::vector<TxnId> BlockersLocked(const LockEntry& entry, TxnId txn,
                                     LockMode mode) const;

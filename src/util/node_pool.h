@@ -1,12 +1,11 @@
 // NodePool: spare nodes for a node-based map with steady churn.
 //
 // A map that gains one entry and loses one per operation (the TC's
-// outstanding-op table, the DC's reply cache) would otherwise pay a heap
-// allocation and a free for every operation. The pool keeps the nodes
-// that erasures extract (C++17 node handles) and hands them back to later
-// insertions, so such a map stops allocating once warm. A kept node also
-// keeps its mapped value, so assigning a new value into it reuses that
-// value's buffers too.
+// outstanding-op table) would otherwise pay a heap allocation and a free
+// for every operation. The pool keeps the nodes that erasures extract
+// (C++17 node handles) and hands them back to later insertions, so such a
+// map stops allocating once warm. A kept node also keeps its mapped value,
+// so assigning a new value into it reuses that value's buffers too.
 //
 // Not thread-safe: guard the pool with the mutex that guards its map(s).
 // One pool may serve several maps of the same type.

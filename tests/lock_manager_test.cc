@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
+#include "kernel/unbundled_db.h"
 #include "tc/transaction_component.h"
 
 namespace untx {
@@ -121,6 +123,53 @@ TEST(LockManagerTest, DistinctNameSpaces) {
   ASSERT_TRUE(lm.Lock(1, RecordLockName(1, "x"), LockMode::kExclusive).ok());
   EXPECT_TRUE(lm.Lock(2, RangeLockName(1, 0), LockMode::kExclusive).ok());
   EXPECT_TRUE(lm.Lock(3, TableEofLockName(1), LockMode::kExclusive).ok());
+}
+
+TEST(LockManagerTest, InstantLockReleasesOnlyANewGrant) {
+  LockManagerOptions options;
+  options.wait_timeout_ms = 50;
+  LockManager lm(options);
+  const std::string eof = TableEofLockName(1);
+  // A new grant is released at once: a second txn gets it unblocked.
+  ASSERT_TRUE(lm.LockInstant(1, eof, LockMode::kExclusive).ok());
+  EXPECT_EQ(lm.HeldCount(1), 0u);
+  ASSERT_TRUE(lm.LockInstant(2, eof, LockMode::kExclusive).ok());
+  EXPECT_EQ(lm.stats().waits, 0u);
+
+  // A lock the txn held before stays held, and so does its upgrade.
+  const std::string name = RecordLockName(1, "k");
+  ASSERT_TRUE(lm.Lock(3, name, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.LockInstant(3, name, LockMode::kExclusive).ok());
+  EXPECT_EQ(lm.HeldCount(3), 1u);
+  EXPECT_TRUE(lm.Lock(4, name, LockMode::kShared).IsTimedOut());
+
+  // The conflict check still runs: a held X blocks the instant lock.
+  EXPECT_TRUE(lm.LockInstant(5, name, LockMode::kExclusive).IsTimedOut());
+}
+
+/// Two open txns that both insert past a table's last key take the
+/// table's EOF lock only for an instant: neither waits for the other.
+TEST(LockManagerTest, ConcurrentInsertsPastEofDoNotWait) {
+  UnbundledDbOptions options;
+  options.tc.locks.wait_timeout_ms = 2000;
+  auto db = std::move(UnbundledDb::Open(options)).ValueOrDie();
+  ASSERT_TRUE(db->CreateTable(1).ok());
+  Txn first(db->tc());
+  ASSERT_TRUE(first.Insert(1, "k1", "v1").ok());
+  Txn second(db->tc());
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(second.Insert(1, "k2", "v2").ok());
+  EXPECT_LT(std::chrono::steady_clock::now() - start,
+            std::chrono::milliseconds(1000));
+  ASSERT_TRUE(second.Commit().ok());
+  ASSERT_TRUE(first.Commit().ok());
+  Txn reader(db->tc());
+  std::string value;
+  ASSERT_TRUE(reader.Read(1, "k1", &value).ok());
+  EXPECT_EQ(value, "v1");
+  ASSERT_TRUE(reader.Read(1, "k2", &value).ok());
+  EXPECT_EQ(value, "v2");
+  ASSERT_TRUE(reader.Commit().ok());
 }
 
 TEST(LockManagerTest, StressManyThreadsManyKeys) {

@@ -122,7 +122,11 @@ TEST(StableLogTest, TruncateWhileAppending) {
   StableLog log;
   constexpr uint64_t kRecords = 20000;
   std::atomic<bool> done{false};
+  std::atomic<bool> truncating{false};
   std::thread appender([&] {
+    // Start once the truncating loop runs: on a loaded host this thread
+    // could otherwise append everything before the first truncation.
+    while (!truncating.load()) std::this_thread::yield();
     for (uint64_t i = 0; i < kRecords; ++i) {
       const uint64_t index = log.Reserve();
       log.Seal(index, std::to_string(index));
@@ -135,6 +139,7 @@ TEST(StableLogTest, TruncateWhileAppending) {
   while (!done.load()) {
     log.TruncatePrefix(log.stable_end());
     ++truncations;
+    truncating.store(true);
   }
   appender.join();
   EXPECT_GT(truncations, 0u);
