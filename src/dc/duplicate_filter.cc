@@ -1,74 +1,35 @@
 #include "dc/duplicate_filter.h"
 
-#include <utility>
+#include <algorithm>
 
 namespace untx {
 
-size_t DuplicateFilter::Window::LowerBound(Lsn lsn) {
-  if (count == 0 || at(count - 1).lsn < lsn) return count;  // the usual case
-  size_t lo = 0;
-  size_t hi = count;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (at(mid).lsn < lsn) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+std::pair<DuplicateFilter::Window*, DuplicateFilter::Slots::iterator>
+DuplicateFilter::FindLocked(const Ticket& ticket) {
+  Window* w = &windows_[ticket.tc];
+  auto it = w->slots.find(ticket.lsn);
+  if (it != w->slots.end() && it->second.serial != ticket.serial) {
+    it = w->slots.end();
   }
-  return lo;
+  return {w, it};
 }
 
-DuplicateFilter::Slot& DuplicateFilter::Window::Insert(size_t pos, Lsn lsn) {
-  if (count == ring.size()) {
-    // Double the ring; moved slots take their buffers along.
-    std::vector<Slot> bigger(ring.empty() ? 16 : 2 * ring.size());
-    for (size_t i = 0; i < ring.size(); ++i) bigger[i] = std::move(at(i));
-    ring.swap(bigger);
-    head = 0;
+void DuplicateFilter::LandLocked(Slot* slot) {
+  slot->serial = 0;
+  auto it = std::find(running_.begin(), running_.end(), slot);
+  if (it != running_.end()) {
+    *it = running_.back();
+    running_.pop_back();
   }
-  // The first spare moves down to `pos`.
-  for (size_t i = count; i > pos; --i) std::swap(at(i), at(i - 1));
-  ++count;
-  Slot& slot = at(pos);
-  slot.serial = 0;
-  slot.lsn = lsn;
-  return slot;
 }
 
-DuplicateFilter::Window& DuplicateFilter::WindowLocked(TcId tc) {
-  for (Window& w : windows_) {
-    if (w.tc == tc) return w;
+void DuplicateFilter::PruneLocked(Window* w, Lsn lwm) {
+  while (!w->slots.empty() && w->slots.begin()->first <= lwm) {
+    Slot& slot = w->slots.begin()->second;
+    if (slot.serial != 0) LandLocked(&slot);
+    spare_.Erase(&w->slots, w->slots.begin());
   }
-  windows_.emplace_back().tc = tc;
-  return windows_.back();
-}
-
-size_t DuplicateFilter::FindLocked(const Ticket& ticket, Window** w) {
-  *w = &WindowLocked(ticket.tc);
-  const size_t pos = (*w)->LowerBound(ticket.lsn);
-  if (pos < (*w)->count && (*w)->at(pos).lsn == ticket.lsn &&
-      (*w)->at(pos).serial == ticket.serial) {
-    return pos;
-  }
-  return (*w)->count;
-}
-
-bool DuplicateFilter::KeyInFlightLocked(const OperationRequest& req) {
-  // In-flight slots are (nearly always) the newest: scan each window back
-  // until all of its in-flight slots were seen.
-  for (Window& w : windows_) {
-    size_t seen = 0;
-    for (size_t i = w.count; seen < w.in_flight && i-- > 0;) {
-      const Slot& slot = w.at(i);
-      if (slot.serial == 0) continue;
-      ++seen;
-      if (slot.keyed && slot.table == req.table_id && slot.key == req.key) {
-        return true;
-      }
-    }
-  }
-  return false;
+  cv_.notify_all();
 }
 
 DuplicateFilter::Verdict DuplicateFilter::Admit(
@@ -77,46 +38,51 @@ DuplicateFilter::Verdict DuplicateFilter::Admit(
     Ticket* ticket) {
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    Window& w = WindowLocked(req.tc_id);
+    Window& w = windows_[req.tc_id];
     if (!req.recovery_resend && req.lsn <= w.floor) {
       reply->was_duplicate = true;
       return Verdict::kBelowFloor;
     }
-    const size_t pos = w.LowerBound(req.lsn);
-    Slot* slot = pos < w.count && w.at(pos).lsn == req.lsn ? &w.at(pos)
-                                                            : nullptr;
-    if (slot != nullptr && slot->serial != 0) {
+    auto it = w.slots.find(req.lsn);
+    if (it != w.slots.end() && it->second.serial != 0) {
       // A copy is executing: wait until its slot leaves the in-flight
       // state (answered, abandoned or dropped), then decide again.
-      const Ticket running{req.tc_id, req.lsn, slot->serial};
+      const Ticket running{req.tc_id, req.lsn, it->second.serial};
       if (!cv_.wait_until(lock, deadline, [&] {
-            Window* in = nullptr;
-            return FindLocked(running, &in) == in->count;
+            auto found = FindLocked(running);
+            return found.second == found.first->slots.end();
           })) {
         reply->status = Status::TimedOut("duplicate kept executing");
         return Verdict::kTimedOut;
       }
       continue;
     }
-    if (slot != nullptr && !req.recovery_resend) {
-      *reply = slot->reply;
+    if (it != w.slots.end() && !req.recovery_resend) {
+      *reply = it->second.reply;
       reply->was_duplicate = true;
       return Verdict::kAnswered;
     }
-    if (slot == nullptr) slot = &w.Insert(pos, req.lsn);
+    if (it == w.slots.end()) {
+      it = spare_.Insert(&w.slots, req.lsn);
+      it->second.serial = 0;
+    }
+    Slot& slot = it->second;
     const bool keyed = req.op != OpType::kCreateTable;
-    if (keyed && KeyInFlightLocked(req)) {
+    if (keyed && std::any_of(running_.begin(), running_.end(),
+                             [&](const Slot* s) {
+                               return s->table == req.table_id &&
+                                      s->key == req.key;
+                             })) {
       reply->status = Status::Conflict(
           "concurrent conflicting operation — TC contract violation");
-      slot->reply = *reply;
+      slot.reply = *reply;
       return Verdict::kConflict;
     }
-    slot->serial = ++last_serial_;
-    slot->keyed = keyed;
-    slot->table = req.table_id;
-    slot->key.assign(req.key);
-    ++w.in_flight;
-    *ticket = Ticket{req.tc_id, req.lsn, slot->serial};
+    slot.serial = ++last_serial_;
+    slot.table = req.table_id;
+    slot.key.assign(req.key);
+    if (keyed) running_.push_back(&slot);
+    *ticket = Ticket{req.tc_id, req.lsn, slot.serial};
     return Verdict::kEnter;
   }
 }
@@ -124,50 +90,41 @@ DuplicateFilter::Verdict DuplicateFilter::Admit(
 void DuplicateFilter::Answer(const Ticket& ticket,
                              const OperationReply& reply) {
   std::lock_guard<std::mutex> guard(mu_);
-  Window* w = nullptr;
-  const size_t pos = FindLocked(ticket, &w);
-  if (pos == w->count) return;
-  w->at(pos).reply = reply;
-  w->at(pos).serial = 0;
-  --w->in_flight;
+  auto [w, it] = FindLocked(ticket);
+  if (it == w->slots.end()) return;
+  it->second.reply = reply;
+  LandLocked(&it->second);
   cv_.notify_all();
 }
 
 void DuplicateFilter::Abandon(const Ticket& ticket) {
   std::lock_guard<std::mutex> guard(mu_);
-  Window* w = nullptr;
-  const size_t pos = FindLocked(ticket, &w);
-  if (pos == w->count) return;
-  // The slot moves past the back, among the spares.
-  for (size_t i = pos + 1; i < w->count; ++i) {
-    std::swap(w->at(i - 1), w->at(i));
-  }
-  --w->count;
-  --w->in_flight;
+  auto [w, it] = FindLocked(ticket);
+  if (it == w->slots.end()) return;
+  LandLocked(&it->second);
+  spare_.Erase(&w->slots, it);
   cv_.notify_all();
 }
 
 void DuplicateFilter::Advance(TcId tc, Lsn lwm, bool armed) {
   std::lock_guard<std::mutex> guard(mu_);
-  Window& w = WindowLocked(tc);
+  Window& w = windows_[tc];
   if (armed && lwm > w.floor) w.floor = lwm;
-  for (; w.count > 0 && w.at(0).lsn <= lwm; --w.count) {
-    if (w.at(0).serial != 0) --w.in_flight;
-    w.head = (w.head + 1) & (w.ring.size() - 1);
-  }
-  cv_.notify_all();
+  PruneLocked(&w, lwm);
 }
 
 void DuplicateFilter::Forget(TcId tc) {
   std::lock_guard<std::mutex> guard(mu_);
-  WindowLocked(tc).Drop();
-  cv_.notify_all();
+  PruneLocked(&windows_[tc], kMaxLsn);
+  windows_[tc].floor = 0;
 }
 
 void DuplicateFilter::Clear() {
   std::lock_guard<std::mutex> guard(mu_);
-  for (Window& w : windows_) w.Drop();
-  cv_.notify_all();
+  for (auto& entry : windows_) {
+    PruneLocked(&entry.second, kMaxLsn);
+    entry.second.floor = 0;
+  }
 }
 
 }  // namespace untx

@@ -3,25 +3,25 @@
 // Every copy of a write (a channel duplicate, a TC resend) must get the
 // reply of its one execution, before-image included, and no two
 // conflicting writes may execute at once (the TC's §1.2 obligation). For
-// each TC the filter keeps a window of slots sorted by LSN, above the
-// TC's floor: the last LWM the DC accepted. A slot is in flight (its
-// write executes; the slot holds table and key) or answered (it holds
-// the reply). One DC sees only some of a TC's LSNs, nearly in order, so
-// a window is a sorted ring rather than an array indexed by LSN: slots
-// append at the back (a straggler is binary-search inserted), an LWM
-// advances the head, and a reused slot keeps its buffers.
+// each TC the filter keeps a window of slots by LSN, above the TC's
+// floor: the last LWM the DC accepted. A slot is in flight (its write
+// executes; the slot holds table and key) or answered (it holds the
+// reply). LSNs reach a DC sparsely, so a window is a map on recycled
+// nodes; the same-key probe scans only the writes in flight.
 #pragma once
 
 #include <chrono>
 #include <condition_variable>
-#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
 #include "dc/dc_api.h"
+#include "util/node_pool.h"
 
 namespace untx {
 
@@ -66,36 +66,29 @@ class DuplicateFilter {
  private:
   struct Slot {
     uint64_t serial = 0;  ///< nonzero while in flight
-    bool keyed = false;   ///< in the same-key probe (not kCreateTable)
     TableId table = kInvalidTableId;
     std::string key;
-    Lsn lsn = kInvalidLsn;
     OperationReply reply;
   };
-  /// Slot i is ring[(head + i) & (ring.size() - 1)], i < count; the ring
-  /// size is a power of two and the entries past `count` are spares.
+  using Slots = std::map<Lsn, Slot>;
   struct Window {
-    TcId tc = 0;
     Lsn floor = 0;
-    std::vector<Slot> ring;
-    size_t head = 0;
-    size_t count = 0;
-    size_t in_flight = 0;
-
-    Slot& at(size_t i) { return ring[(head + i) & (ring.size() - 1)]; }
-    size_t LowerBound(Lsn lsn);  ///< first slot with an LSN >= lsn
-    Slot& Insert(size_t pos, Lsn lsn);
-    void Drop() { floor = count = in_flight = 0; }
+    Slots slots;
   };
 
-  Window& WindowLocked(TcId tc);
-  /// Position of the in-flight slot `ticket` names in *w, or w->count.
-  size_t FindLocked(const Ticket& ticket, Window** w);
-  bool KeyInFlightLocked(const OperationRequest& req);
+  /// The window of ticket.tc and the slot the ticket names, or that
+  /// window's end() once the slot left the in-flight state.
+  std::pair<Window*, Slots::iterator> FindLocked(const Ticket& ticket);
+  /// Takes `slot` out of the in-flight state.
+  void LandLocked(Slot* slot);
+  /// Drops w's slots at or below `lwm`, waking the copies that wait.
+  void PruneLocked(Window* w, Lsn lwm);
 
   std::mutex mu_;
   std::condition_variable cv_;  ///< a slot left the in-flight state
-  std::vector<Window> windows_;  ///< never erased; few TCs per DC
+  std::map<TcId, Window> windows_;
+  NodePool<Slots> spare_{1024};
+  std::vector<Slot*> running_;  ///< keyed writes in flight: probe scope
   uint64_t last_serial_ = 0;
 };
 

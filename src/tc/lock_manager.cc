@@ -71,34 +71,53 @@ std::vector<TxnId> LockManager::BlockersLocked(const LockEntry& entry,
   return blockers;
 }
 
-Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode,
-                         bool* newly_held) {
+Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode) {
+  return Acquire(txn, name, mode, /*instant=*/false);
+}
+
+Status LockManager::LockInstant(TxnId txn, const std::string& name,
+                                LockMode mode) {
+  return Acquire(txn, name, mode, /*instant=*/true);
+}
+
+Status LockManager::Acquire(TxnId txn, const std::string& name,
+                            LockMode mode, bool instant) {
   std::unique_lock<std::mutex> lock(mu_);
+  // An instant lock releases a new grant in the critical section that
+  // made it, so it makes none: it passes once no conflicting lock is
+  // held or queued ahead, and only a lock the txn already holds is
+  // upgraded (and kept). Nobody holds or awaits a name without an entry.
+  if (instant && table_.count(name) == 0) {
+    ++stats_.acquisitions;
+    return Status::OK();
+  }
   LockEntry& entry = table_[name];
 
-  auto own = std::find_if(entry.holders.begin(), entry.holders.end(),
-                          [txn](const auto& h) { return h.first == txn; });
-  const bool holds_already = own != entry.holders.end();
-  if (newly_held != nullptr) *newly_held = !holds_already;
   // Already held strongly enough?
-  if (holds_already &&
-      (own->second == LockMode::kExclusive || mode == LockMode::kShared)) {
-    return Status::OK();
+  for (const auto& [holder, held_mode] : entry.holders) {
+    if (holder == txn &&
+        (held_mode == LockMode::kExclusive || mode == LockMode::kShared)) {
+      return Status::OK();
+    }
   }
 
   // Fast path: compatible and nobody queued ahead (except when upgrading,
   // which may barge — the holder would otherwise deadlock behind itself).
+  const bool holds_already =
+      std::any_of(entry.holders.begin(), entry.holders.end(),
+                  [txn](const auto& h) { return h.first == txn; });
   if (CompatibleLocked(entry, txn, mode) &&
       (entry.waiters.empty() || holds_already)) {
+    ++stats_.acquisitions;
+    if (instant && !holds_already) return Status::OK();
     GrantLocked(&entry, txn, mode);
     held_[txn].insert(name);
-    ++stats_.acquisitions;
     return Status::OK();
   }
 
   // Must wait.
   ++stats_.waits;
-  Waiter waiter{txn, mode, false};
+  Waiter waiter{txn, mode, instant, false};
   entry.waiters.push_back(&waiter);
 
   auto cleanup = [&](bool remove_edges) {
@@ -128,10 +147,17 @@ Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode,
       return Status::TimedOut("lock wait timed out");
     }
     if (waiter.granted) {
-      // WakeWaitersLocked granted us and added us to holders.
+      // WakeWaitersLocked granted us and, unless we are an instant lock
+      // the txn did not hold, added us to holders.
       wait_graph_.RemoveWaiter(txn);
-      held_[txn].insert(name);
       ++stats_.acquisitions;
+      if (!instant) {
+        held_[txn].insert(name);
+      } else if (auto it = table_.find(name);
+                 it != table_.end() && it->second.holders.empty() &&
+                 it->second.waiters.empty()) {
+        table_.erase(it);
+      }
       return Status::OK();
     }
     if (options_.deadlock_detection) {
@@ -148,22 +174,6 @@ Status LockManager::Lock(TxnId txn, const std::string& name, LockMode mode,
   }
 }
 
-Status LockManager::LockInstant(TxnId txn, const std::string& name,
-                                LockMode mode) {
-  bool newly_held = false;
-  Status s = Lock(txn, name, mode, &newly_held);
-  if (!s.ok() || !newly_held) return s;
-  // The conflict check is done; release the new grant at once.
-  std::lock_guard<std::mutex> guard(mu_);
-  DropHolderLocked(txn, name);
-  auto held_it = held_.find(txn);
-  if (held_it != held_.end()) {
-    held_it->second.erase(name);
-    if (held_it->second.empty()) held_.erase(held_it);
-  }
-  return Status::OK();
-}
-
 void LockManager::WakeWaitersLocked(LockEntry* entry) {
   // Grant from the front of the queue while compatible (FIFO fairness).
   // The granted prefix leaves the queue in one erase.
@@ -171,30 +181,21 @@ void LockManager::WakeWaitersLocked(LockEntry* entry) {
   while (granted < entry->waiters.size()) {
     Waiter* w = entry->waiters[granted];
     if (!CompatibleLocked(*entry, w->txn, w->mode)) break;
-    GrantLocked(entry, w->txn, w->mode);
     w->granted = true;
     ++granted;
+    // An instant lock its txn does not hold passes without a grant.
+    if (w->instant &&
+        std::none_of(entry->holders.begin(), entry->holders.end(),
+                     [w](const auto& h) { return h.first == w->txn; })) {
+      continue;
+    }
+    GrantLocked(entry, w->txn, w->mode);
     if (w->mode == LockMode::kExclusive) break;
   }
   if (granted == 0) return;
   entry->waiters.erase(entry->waiters.begin(),
                        entry->waiters.begin() + granted);
   cv_.notify_all();
-}
-
-void LockManager::DropHolderLocked(TxnId txn, const std::string& name) {
-  auto table_it = table_.find(name);
-  if (table_it == table_.end()) return;
-  LockEntry& entry = table_it->second;
-  entry.holders.erase(
-      std::remove_if(entry.holders.begin(), entry.holders.end(),
-                     [txn](const auto& h) { return h.first == txn; }),
-      entry.holders.end());
-  if (entry.holders.empty() && entry.waiters.empty()) {
-    table_.erase(table_it);
-  } else {
-    WakeWaitersLocked(&entry);
-  }
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
@@ -204,7 +205,20 @@ void LockManager::ReleaseAll(TxnId txn) {
     wait_graph_.RemoveTxn(txn);
     return;
   }
-  for (const std::string& name : held_it->second) DropHolderLocked(txn, name);
+  for (const std::string& name : held_it->second) {
+    auto table_it = table_.find(name);
+    if (table_it == table_.end()) continue;
+    LockEntry& entry = table_it->second;
+    entry.holders.erase(
+        std::remove_if(entry.holders.begin(), entry.holders.end(),
+                       [txn](const auto& h) { return h.first == txn; }),
+        entry.holders.end());
+    if (entry.holders.empty() && entry.waiters.empty()) {
+      table_.erase(table_it);
+    } else {
+      WakeWaitersLocked(&entry);
+    }
+  }
   held_.erase(held_it);
   wait_graph_.RemoveTxn(txn);
   cv_.notify_all();

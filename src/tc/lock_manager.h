@@ -54,10 +54,8 @@ class LockManager {
 
   /// Acquires (or upgrades to) `mode` on `name` for `txn`. Blocks until
   /// granted, deadlock (kDeadlock) or timeout (kTimedOut). Re-entrant:
-  /// holding X satisfies an S request. `newly_held` (optional) reports
-  /// whether txn held no lock on `name` before.
-  Status Lock(TxnId txn, const std::string& name, LockMode mode,
-              bool* newly_held = nullptr);
+  /// holding X satisfies an S request.
+  Status Lock(TxnId txn, const std::string& name, LockMode mode);
 
   /// Instant-duration lock: acquire then immediately release. Used for
   /// next-key probes during inserts under the fetch-ahead protocol. A
@@ -77,6 +75,7 @@ class LockManager {
   struct Waiter {
     TxnId txn;
     LockMode mode;
+    bool instant;  ///< granted without holding unless txn holds already
     bool granted = false;
   };
   struct LockEntry {
@@ -87,12 +86,11 @@ class LockManager {
     std::vector<Waiter*> waiters;
   };
 
+  Status Acquire(TxnId txn, const std::string& name, LockMode mode,
+                 bool instant);
   bool CompatibleLocked(const LockEntry& entry, TxnId txn,
                         LockMode mode) const;
   void GrantLocked(LockEntry* entry, TxnId txn, LockMode mode);
-  /// Removes txn from the holders of `name` and wakes its waiters (or
-  /// erases the entry when nobody is left). Leaves held_ alone.
-  void DropHolderLocked(TxnId txn, const std::string& name);
   void WakeWaitersLocked(LockEntry* entry);
   std::vector<TxnId> BlockersLocked(const LockEntry& entry, TxnId txn,
                                     LockMode mode) const;

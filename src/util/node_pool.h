@@ -1,11 +1,12 @@
 // NodePool: spare nodes for a node-based map with steady churn.
 //
 // A map that gains one entry and loses one per operation (the TC's
-// outstanding-op table) would otherwise pay a heap allocation and a free
-// for every operation. The pool keeps the nodes that erasures extract
-// (C++17 node handles) and hands them back to later insertions, so such a
-// map stops allocating once warm. A kept node also keeps its mapped value,
-// so assigning a new value into it reuses that value's buffers too.
+// outstanding-op table, the DC's duplicate filter) would otherwise pay a heap
+// allocation and a free for every operation. The pool keeps the nodes
+// that erasures extract (C++17 node handles) and hands them back to later
+// insertions, so such a map stops allocating once warm. A kept node also
+// keeps its mapped value, so assigning a new value into it reuses that
+// value's buffers too.
 //
 // Not thread-safe: guard the pool with the mutex that guards its map(s).
 // One pool may serve several maps of the same type.
@@ -41,6 +42,17 @@ class NodePool {
       result.position->second = std::move(result.node.mapped());
       Keep(std::move(result.node));
     }
+  }
+
+  /// Inserts `key`, absent from *map, on a spare node when the pool has
+  /// one. The mapped value is left as the node's last user left it (or
+  /// default-constructed), so assigning into it reuses its buffers.
+  typename Map::iterator Insert(Map* map, const typename Map::key_type& key) {
+    if (spare_.empty()) return map->try_emplace(key).first;
+    Node node = std::move(spare_.back());
+    spare_.pop_back();
+    node.key() = key;
+    return map->insert(std::move(node)).position;
   }
 
   /// map->erase(it), keeping the node; returns the following iterator.

@@ -147,6 +147,44 @@ TEST(LockManagerTest, InstantLockReleasesOnlyANewGrant) {
   EXPECT_TRUE(lm.LockInstant(5, name, LockMode::kExclusive).IsTimedOut());
 }
 
+/// One thread of a txn instant-locks a name while another thread of the
+/// same txn locks it to commit: whichever is granted first, the lasting
+/// lock stays held, also when both first wait behind another txn.
+TEST(LockManagerTest, InstantLockKeepsTheSameTxnsLastingLock) {
+  LockManagerOptions options;
+  options.wait_timeout_ms = 1000;
+  const std::string name = RecordLockName(1, "k2");
+  for (int round = 0; round < 200; ++round) {
+    LockManager lm(options);
+    const bool blocked = round % 2 == 1;
+    if (blocked) ASSERT_TRUE(lm.Lock(1, name, LockMode::kExclusive).ok());
+    std::atomic<bool> go{false};
+    Status instant;
+    Status lasting;
+    std::thread a([&] {
+      while (!go.load()) {
+      }
+      instant = lm.LockInstant(2, name, LockMode::kExclusive);
+    });
+    std::thread b([&] {
+      while (!go.load()) {
+      }
+      lasting = lm.Lock(2, name, LockMode::kExclusive);
+    });
+    go.store(true);
+    if (blocked) lm.ReleaseAll(1);
+    a.join();
+    b.join();
+    ASSERT_TRUE(instant.ok()) << round << ": " << instant.ToString();
+    ASSERT_TRUE(lasting.ok()) << round << ": " << lasting.ToString();
+    ASSERT_EQ(lm.HeldCount(2), 1u) << round;
+    if (round >= 198) {
+      // The lock table agrees: another txn cannot pass.
+      EXPECT_TRUE(lm.LockInstant(3, name, LockMode::kShared).IsTimedOut());
+    }
+  }
+}
+
 /// Two open txns that both insert past a table's last key take the
 /// table's EOF lock only for an instant: neither waits for the other.
 TEST(LockManagerTest, ConcurrentInsertsPastEofDoNotWait) {

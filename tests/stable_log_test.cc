@@ -122,27 +122,30 @@ TEST(StableLogTest, TruncateWhileAppending) {
   StableLog log;
   constexpr uint64_t kRecords = 20000;
   std::atomic<bool> done{false};
-  std::atomic<bool> truncating{false};
   std::thread appender([&] {
-    // Start once the truncating loop runs: on a loaded host this thread
-    // could otherwise append everything before the first truncation.
-    while (!truncating.load()) std::this_thread::yield();
     for (uint64_t i = 0; i < kRecords; ++i) {
       const uint64_t index = log.Reserve();
       log.Seal(index, std::to_string(index));
       if (i % 64 == 0) log.Force();
+      // Halfway, wait for a truncation of a non-empty prefix: on a loaded
+      // host this thread could otherwise append everything before the
+      // truncating loop runs once.
+      if (i == kRecords / 2) {
+        while (log.truncated_prefix() == 0) std::this_thread::yield();
+      }
     }
     log.Force();
     done.store(true);
   });
-  uint64_t truncations = 0;
+  uint64_t truncations = 0;  // of a non-empty prefix, while appending
   while (!done.load()) {
-    log.TruncatePrefix(log.stable_end());
-    ++truncations;
-    truncating.store(true);
+    const uint64_t end = log.stable_end();
+    log.TruncatePrefix(end);
+    if (end > 0 && !done.load()) ++truncations;
   }
   appender.join();
   EXPECT_GT(truncations, 0u);
+  EXPECT_GT(log.truncated_prefix(), 0u);
   EXPECT_EQ(log.total_end(), kRecords);
   std::string out;
   for (uint64_t i = log.truncated_prefix(); i < kRecords; ++i) {
