@@ -176,6 +176,8 @@ Status LockManager::Acquire(TxnId txn, const std::string& name,
 
 void LockManager::WakeWaitersLocked(LockEntry* entry) {
   // Grant from the front of the queue while compatible (FIFO fairness).
+  // After an X grant only the same txn's waiters are compatible; they
+  // are granted too, or they would wait behind their own lock.
   // The granted prefix leaves the queue in one erase.
   size_t granted = 0;
   while (granted < entry->waiters.size()) {
@@ -190,7 +192,6 @@ void LockManager::WakeWaitersLocked(LockEntry* entry) {
       continue;
     }
     GrantLocked(entry, w->txn, w->mode);
-    if (w->mode == LockMode::kExclusive) break;
   }
   if (granted == 0) return;
   entry->waiters.erase(entry->waiters.begin(),
