@@ -4,29 +4,27 @@
 
 namespace untx {
 
-std::pair<DuplicateFilter::Window*, DuplicateFilter::Slots::iterator>
-DuplicateFilter::FindLocked(const Ticket& ticket) {
-  Window* w = &windows_[ticket.tc];
-  auto it = w->slots.find(ticket.lsn);
-  if (it != w->slots.end() && it->second.serial != ticket.serial) {
-    it = w->slots.end();
+std::vector<DuplicateFilter::Slot*>::iterator DuplicateFilter::RunningLocked(
+    const Ticket& ticket) {
+  auto run = std::find(running_.begin(), running_.end(), ticket.slot);
+  if (run != running_.end() && (*run)->serial != ticket.serial) {
+    run = running_.end();
   }
-  return {w, it};
+  return run;
 }
 
-void DuplicateFilter::LandLocked(Slot* slot) {
-  slot->serial = 0;
-  auto it = std::find(running_.begin(), running_.end(), slot);
-  if (it != running_.end()) {
-    *it = running_.back();
-    running_.pop_back();
-  }
+void DuplicateFilter::LandLocked(std::vector<Slot*>::iterator run) {
+  (*run)->serial = 0;
+  *run = running_.back();
+  running_.pop_back();
 }
 
 void DuplicateFilter::PruneLocked(Window* w, Lsn lwm) {
   while (!w->slots.empty() && w->slots.begin()->first <= lwm) {
-    Slot& slot = w->slots.begin()->second;
-    if (slot.serial != 0) LandLocked(&slot);
+    Slot* slot = &w->slots.begin()->second;
+    if (slot->serial != 0) {
+      LandLocked(std::find(running_.begin(), running_.end(), slot));
+    }
     spare_.Erase(&w->slots, w->slots.begin());
   }
   cv_.notify_all();
@@ -43,34 +41,37 @@ DuplicateFilter::Verdict DuplicateFilter::Admit(
       reply->was_duplicate = true;
       return Verdict::kBelowFloor;
     }
-    auto it = w.slots.find(req.lsn);
-    if (it != w.slots.end() && it->second.serial != 0) {
+    auto it = w.slots.empty() || w.slots.rbegin()->first < req.lsn
+                  ? w.slots.end()
+                  : w.slots.lower_bound(req.lsn);
+    const bool found = it != w.slots.end() && it->first == req.lsn;
+    if (found && it->second.serial != 0) {
       // A copy is executing: wait until its slot leaves the in-flight
       // state (answered, abandoned or dropped), then decide again.
-      const Ticket running{req.tc_id, req.lsn, it->second.serial};
+      const Ticket running{req.tc_id, req.lsn, it->second.serial,
+                           &it->second};
       if (!cv_.wait_until(lock, deadline, [&] {
-            auto found = FindLocked(running);
-            return found.second == found.first->slots.end();
+            return RunningLocked(running) == running_.end();
           })) {
         reply->status = Status::TimedOut("duplicate kept executing");
         return Verdict::kTimedOut;
       }
       continue;
     }
-    if (it != w.slots.end() && !req.recovery_resend) {
+    if (found && !req.recovery_resend) {
       *reply = it->second.reply;
       reply->was_duplicate = true;
       return Verdict::kAnswered;
     }
-    if (it == w.slots.end()) {
-      it = spare_.Insert(&w.slots, req.lsn);
+    if (!found) {
+      it = spare_.Insert(&w.slots, it, req.lsn);
       it->second.serial = 0;
     }
     Slot& slot = it->second;
     const bool keyed = req.op != OpType::kCreateTable;
     if (keyed && std::any_of(running_.begin(), running_.end(),
                              [&](const Slot* s) {
-                               return s->table == req.table_id &&
+                               return s->keyed && s->table == req.table_id &&
                                       s->key == req.key;
                              })) {
       reply->status = Status::Conflict(
@@ -79,10 +80,11 @@ DuplicateFilter::Verdict DuplicateFilter::Admit(
       return Verdict::kConflict;
     }
     slot.serial = ++last_serial_;
+    slot.keyed = keyed;
     slot.table = req.table_id;
     slot.key.assign(req.key);
-    if (keyed) running_.push_back(&slot);
-    *ticket = Ticket{req.tc_id, req.lsn, slot.serial};
+    running_.push_back(&slot);
+    *ticket = Ticket{req.tc_id, req.lsn, slot.serial, &slot};
     return Verdict::kEnter;
   }
 }
@@ -90,19 +92,20 @@ DuplicateFilter::Verdict DuplicateFilter::Admit(
 void DuplicateFilter::Answer(const Ticket& ticket,
                              const OperationReply& reply) {
   std::lock_guard<std::mutex> guard(mu_);
-  auto [w, it] = FindLocked(ticket);
-  if (it == w->slots.end()) return;
-  it->second.reply = reply;
-  LandLocked(&it->second);
+  auto run = RunningLocked(ticket);
+  if (run == running_.end()) return;
+  ticket.slot->reply = reply;
+  LandLocked(run);
   cv_.notify_all();
 }
 
 void DuplicateFilter::Abandon(const Ticket& ticket) {
   std::lock_guard<std::mutex> guard(mu_);
-  auto [w, it] = FindLocked(ticket);
-  if (it == w->slots.end()) return;
-  LandLocked(&it->second);
-  spare_.Erase(&w->slots, it);
+  auto run = RunningLocked(ticket);
+  if (run == running_.end()) return;
+  LandLocked(run);
+  Window& w = windows_[ticket.tc];
+  spare_.Erase(&w.slots, w.slots.find(ticket.lsn));
   cv_.notify_all();
 }
 

@@ -7,7 +7,9 @@
 // floor: the last LWM the DC accepted. A slot is in flight (its write
 // executes; the slot holds table and key) or answered (it holds the
 // reply). LSNs reach a DC sparsely, so a window is a map on recycled
-// nodes; the same-key probe scans only the writes in flight.
+// nodes; they reach it nearly in order, so a slot past the newest one is
+// added without a search. The same-key probe scans only the writes in
+// flight.
 #pragma once
 
 #include <chrono>
@@ -16,7 +18,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -26,6 +27,8 @@
 namespace untx {
 
 class DuplicateFilter {
+  struct Slot;
+
  public:
   enum class Verdict {
     kEnter,       ///< execute, then Answer() or Abandon() the ticket
@@ -34,11 +37,13 @@ class DuplicateFilter {
     kConflict,    ///< the key is in flight under another id: *reply, stored
     kTimedOut,    ///< a copy of it kept executing past the deadline
   };
-  /// One admission; `serial` tells it from a later one of the same id.
+  /// One admission; `serial` tells it from a later one of the same id
+  /// (or a later user of the same slot).
   struct Ticket {
     TcId tc = 0;
     Lsn lsn = kInvalidLsn;
     uint64_t serial = 0;
+    Slot* slot = nullptr;
   };
 
   /// Admits one write; `reply` carries req's tc_id and lsn. A copy of a
@@ -66,6 +71,7 @@ class DuplicateFilter {
  private:
   struct Slot {
     uint64_t serial = 0;  ///< nonzero while in flight
+    bool keyed = false;   ///< in the same-key probe (not kCreateTable)
     TableId table = kInvalidTableId;
     std::string key;
     OperationReply reply;
@@ -76,11 +82,11 @@ class DuplicateFilter {
     Slots slots;
   };
 
-  /// The window of ticket.tc and the slot the ticket names, or that
-  /// window's end() once the slot left the in-flight state.
-  std::pair<Window*, Slots::iterator> FindLocked(const Ticket& ticket);
-  /// Takes `slot` out of the in-flight state.
-  void LandLocked(Slot* slot);
+  /// The entry of running_ for the slot `ticket` entered, or end() once
+  /// that slot left the in-flight state.
+  std::vector<Slot*>::iterator RunningLocked(const Ticket& ticket);
+  /// Takes a slot out of the in-flight state.
+  void LandLocked(std::vector<Slot*>::iterator run);
   /// Drops w's slots at or below `lwm`, waking the copies that wait.
   void PruneLocked(Window* w, Lsn lwm);
 
@@ -88,7 +94,7 @@ class DuplicateFilter {
   std::condition_variable cv_;  ///< a slot left the in-flight state
   std::map<TcId, Window> windows_;
   NodePool<Slots> spare_{1024};
-  std::vector<Slot*> running_;  ///< keyed writes in flight: probe scope
+  std::vector<Slot*> running_;  ///< the slots in flight
   uint64_t last_serial_ = 0;
 };
 

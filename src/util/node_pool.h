@@ -44,15 +44,17 @@ class NodePool {
     }
   }
 
-  /// Inserts `key`, absent from *map, on a spare node when the pool has
-  /// one. The mapped value is left as the node's last user left it (or
-  /// default-constructed), so assigning into it reuses its buffers.
-  typename Map::iterator Insert(Map* map, const typename Map::key_type& key) {
-    if (spare_.empty()) return map->try_emplace(key).first;
+  /// Inserts `key`, absent from *map, just before `hint` (as map->insert
+  /// with a hint), on a spare node when the pool has one. The mapped
+  /// value is left as the node's last user left it (or default), so
+  /// assigning into it reuses its buffers.
+  typename Map::iterator Insert(Map* map, typename Map::iterator hint,
+                                const typename Map::key_type& key) {
+    if (spare_.empty()) return map->try_emplace(hint, key);
     Node node = std::move(spare_.back());
     spare_.pop_back();
     node.key() = key;
-    return map->insert(std::move(node)).position;
+    return map->insert(hint, std::move(node));
   }
 
   /// map->erase(it), keeping the node; returns the following iterator.
