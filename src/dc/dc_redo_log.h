@@ -49,7 +49,7 @@ enum class RedoEntryKind : uint8_t {
   /// Replicas reproduce the page-drop semantics by cancel-filtered
   /// replay (an op entry of this TC with lsn > stable_end is lost work).
   kReset = 2,
-  /// LWM push: tc + low-water-mark lsn (reply-cache pruning point).
+  /// LWM push: tc + low-water-mark lsn (duplicate-filter pruning point).
   kLwm = 3,
   /// EOSL push: tc + end-of-stable-log lsn.
   kEosl = 4,
