@@ -770,7 +770,8 @@ Status BTree::TryConsolidate(TableId table, Slice key) {
   return Status::OK();
 }
 
-Status BTree::ReplayStableSmoBatches() {
+Status BTree::ReplayStableSmoBatches(size_t* rewritten) {
+  size_t changed = 0;
   const std::vector<DcLogBatch> batches = dc_log_->ReadStableBatches();
   for (const DcLogBatch& batch : batches) {
     for (const DcLogRecord& rec : batch.records) {
@@ -786,6 +787,7 @@ Status BTree::ReplayStableSmoBatches() {
               frame->ablsn = rec.ablsn;
               StampDlsn(PageOf(frame), frame, rec.dlsn);
               frame->dirty = true;
+              ++changed;
             }
             latch.Release();
             pool_->Unpin(frame);
@@ -797,6 +799,7 @@ Status BTree::ReplayStableSmoBatches() {
             created->ablsn = rec.ablsn;
             StampDlsn(PageOf(created), created, rec.dlsn);
             created->dirty = true;
+            ++changed;
             latch.Release();
             pool_->Unpin(created);
           } else {
@@ -823,6 +826,7 @@ Status BTree::ReplayStableSmoBatches() {
             page.set_next_page(rec.aux_pid);
             StampDlsn(page, frame, rec.dlsn);
             frame->dirty = true;
+            ++changed;
           }
           latch.Release();
           pool_->Unpin(frame);
@@ -840,7 +844,10 @@ Status BTree::ReplayStableSmoBatches() {
             }
             frame->latch.UnlockExclusive();
             pool_->Unpin(frame);
-            if (stale) pool_->FreePage(rec.pid, rec.dlsn);
+            if (stale) {
+              pool_->FreePage(rec.pid, rec.dlsn);
+              ++changed;
+            }
           }
           break;
         }
@@ -849,6 +856,7 @@ Status BTree::ReplayStableSmoBatches() {
       }
     }
   }
+  if (rewritten != nullptr) *rewritten = changed;
   return RebuildRootCache();
 }
 

@@ -88,8 +88,9 @@ class BTree {
   /// Applies all committed system-transaction batches from the stable DC
   /// log (dLSN-guarded, idempotent) — the FIRST phase of DC recovery,
   /// which must complete before any TC redo (§5.2.2). Also used by the
-  /// TC-crash page reset to restore evicted structure pages.
-  Status ReplayStableSmoBatches();
+  /// TC-crash page reset to restore evicted structure pages. `rewritten`
+  /// (optional) counts the pages the replay changed.
+  Status ReplayStableSmoBatches(size_t* rewritten = nullptr);
 
   PageId meta_page_id() const { return meta_pid_; }
   const BTreeStats& stats() const { return stats_; }

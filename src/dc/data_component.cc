@@ -104,12 +104,34 @@ void DataComponent::Crash() {
   {
     // Every TC's next redo pass starts fresh against the reverted state.
     std::lock_guard<std::mutex> guard(redo_mu_);
-    redo_fresh_max_.clear();
+    BumpAllRedoEpochsLocked();
   }
   ClearScanCursors();
 }
 
 void DataComponent::Restore() { crashed_.store(false); }
+
+uint64_t DataComponent::RedoEpochLocked(TcId tc) const {
+  auto it = redo_tcs_.find(tc);
+  return it == redo_tcs_.end()
+             ? redo_epoch_floor_
+             : std::max(redo_epoch_floor_, it->second.epoch);
+}
+
+void DataComponent::BumpRedoEpochLocked(TcId tc) {
+  redo_tcs_[tc] = TcRedo{0, ++redo_epoch_clock_, false};
+}
+
+void DataComponent::BumpAllRedoEpochsLocked() {
+  redo_epoch_floor_ = ++redo_epoch_clock_;
+  redo_tcs_.clear();
+}
+
+bool DataComponent::RedoSettled(TcId tc) const {
+  std::lock_guard<std::mutex> guard(redo_mu_);
+  auto it = redo_tcs_.find(tc);
+  return it != redo_tcs_.end() && it->second.settled;
+}
 
 OperationReply DataComponent::Perform(const OperationRequest& req) {
   if (role_.load() == DcRole::kReplica) {
@@ -337,8 +359,8 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
     // safe: the stream carries only logically-applied ops, in LSN
     // order, and record writes are value-idempotent.
     std::lock_guard<std::mutex> guard(redo_mu_);
-    auto it = redo_fresh_max_.find(req.tc_id);
-    if (it == redo_fresh_max_.end() || req.lsn > it->second) {
+    auto it = redo_tcs_.find(req.tc_id);
+    if (it == redo_tcs_.end() || req.lsn > it->second.fresh_max) {
       covered = false;
       stats_.redo_stale_coverage_overrides.fetch_add(1);
       if (TraceEnabled()) {
@@ -393,7 +415,7 @@ OperationReply DataComponent::ApplyOnce(const OperationRequest& req,
       // re-established, so a duplicated redo batch must not re-apply
       // them over later re-executed ops.
       std::lock_guard<std::mutex> guard(redo_mu_);
-      Lsn& fresh = redo_fresh_max_[req.tc_id];
+      Lsn& fresh = redo_tcs_[req.tc_id].fresh_max;
       if (req.lsn > fresh) fresh = req.lsn;
     }
   }
@@ -1193,6 +1215,17 @@ ControlReply DataComponent::Control(const ControlRequest& req) {
           if (!rs.ok()) reply.status = rs;
         }
       }
+      std::lock_guard<std::mutex> guard(redo_mu_);
+      // The local replay above may re-execute the TC's ops: treat it as
+      // a revert.
+      if (redo_log_ != nullptr) BumpRedoEpochLocked(req.tc_id);
+      // Settled before this reset and nothing reverted since (a revert,
+      // here or by a concurrent escalation, clears `settled`).
+      auto it = redo_tcs_.find(req.tc_id);
+      reply.redo_intact = reply.status.ok() && it != redo_tcs_.end() &&
+                          it->second.settled;
+      reply.redo_epoch = RedoEpochLocked(req.tc_id);
+      if (reply.redo_intact) stats_.resets_intact.fetch_add(1);
       break;
     }
     case ControlType::kRestartEnd: {
@@ -1200,7 +1233,15 @@ ControlReply DataComponent::Control(const ControlRequest& req) {
       // and the page abLSNs are once more the coverage authority.
       pool_->AllowLwm(req.tc_id);
       std::lock_guard<std::mutex> guard(redo_mu_);
-      redo_fresh_max_.erase(req.tc_id);
+      const uint64_t epoch = RedoEpochLocked(req.tc_id);
+      TcRedo& redo = redo_tcs_[req.tc_id];
+      redo.fresh_max = 0;
+      // The pass re-established everything only if nothing was lost
+      // since it began: a stale or missing epoch settles nothing.
+      if (req.redo_epoch != 0 && req.redo_epoch == epoch) {
+        redo.epoch = epoch;
+        redo.settled = true;
+      }
       reply.status = Status::OK();
       break;
     }
@@ -1218,6 +1259,10 @@ ControlReply DataComponent::Control(const ControlRequest& req) {
       reply.rlsn = redo_log_ != nullptr && redo_state_current_.load()
                        ? redo_log_->end()
                        : 0;
+      {
+        std::lock_guard<std::mutex> guard(redo_mu_);
+        reply.redo_epoch = RedoEpochLocked(req.tc_id);
+      }
       reply.status = Status::OK();
       break;
     default:
@@ -1290,6 +1335,8 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
   // operations beyond the failed TC's stable log; on shared pages, reset
   // only the failed TC's records.
   std::vector<TcId> escalate_set;
+  // Whether the reset may have reverted any of the failed TC's effects.
+  bool reverted = false;
   // Pages a reader held past the drop deadline: they stay cached, marked
   // reset_stale (never flushed), and the next reset drops them first.
   std::vector<PageId> undropped;
@@ -1329,12 +1376,14 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
       std::lock_guard<std::mutex> guard(reset_mu_);
       carried.swap(reset_undropped_);
     }
+    if (!carried.empty()) reverted = true;
     for (PageId pid : pool_->CachedPages()) {
       if (carried.count(pid) > 0) revert_page(pid);
     }
   }
   const std::vector<DcLog::PendingBatchInfo> discarded =
       dc_log_->DiscardPending();
+  if (!discarded.empty()) reverted = true;
   for (const auto& batch : discarded) {
     for (const auto& [other_tc, floor_lsn] : batch.floor) {
       if (other_tc != tc) escalate_set.push_back(other_tc);
@@ -1357,6 +1406,7 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
               (unsigned long long)stable_end,
               (size_t)frame->ablsn.TcCount());
     }
+    reverted = true;  // the page is dropped or merged below
     const bool single_tc = frame->ablsn.TcCount() <= 1;
     bool drop_frame = single_tc;
     if (!single_tc) {
@@ -1395,7 +1445,9 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
   }
   // Evicted structure pages whose SMOs are on the stable DC log must be
   // brought back before the TC resends (§5.2.2 ordering).
-  Status s = btree_->ReplayStableSmoBatches();
+  size_t smo_rewritten = 0;
+  Status s = btree_->ReplayStableSmoBatches(&smo_rewritten);
+  if (smo_rewritten > 0) reverted = true;
 
   std::sort(escalate_set.begin(), escalate_set.end());
   escalate_set.erase(std::unique(escalate_set.begin(), escalate_set.end()),
@@ -1413,10 +1465,15 @@ Status DataComponent::DoReset(TcId tc, Lsn stable_end,
   for (TcId victim : escalate_set) filter_.Forget(victim);
   {
     // A NEW regression: the failed TC's and every escalated TC's next
-    // redo pass must re-establish state from scratch.
+    // redo pass must re-establish state from scratch, and a TC that may
+    // have lost effects here moves to a new redo epoch.
     std::lock_guard<std::mutex> guard(redo_mu_);
-    redo_fresh_max_.erase(tc);
-    for (TcId victim : escalate_set) redo_fresh_max_.erase(victim);
+    if (reverted) {
+      BumpRedoEpochLocked(tc);
+    } else {
+      redo_tcs_[tc].fresh_max = 0;
+    }
+    for (TcId victim : escalate_set) BumpRedoEpochLocked(victim);
   }
   *escalate = std::move(escalate_set);
   if (!undropped.empty()) {
@@ -1544,6 +1601,11 @@ void DataComponent::Promote(uint64_t epoch) {
   // rejoining ex-primary holds past this rlsn is divergent history.
   promotion_epoch_.store(epoch);
   promotion_base_.store(redo_log_ != nullptr ? redo_log_->end() : 0);
+  {
+    // No TC has run a redo pass against this DC's state as a primary.
+    std::lock_guard<std::mutex> guard(redo_mu_);
+    BumpAllRedoEpochsLocked();
+  }
   role_.store(DcRole::kPrimary);
   stats_.promotions.fetch_add(1);
 }
@@ -1701,7 +1763,7 @@ Status DataComponent::ReplicaResetByReplay() {
   filter_.Clear();
   {
     std::lock_guard<std::mutex> guard(redo_mu_);
-    redo_fresh_max_.clear();
+    BumpAllRedoEpochsLocked();
   }
   ClearScanCursors();
   store_->Reset();

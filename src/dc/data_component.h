@@ -20,7 +20,16 @@
 //    (replay committed SMOs *before* any TC redo, §5.2.2);
 //  * the TC-crash page reset of §5.3.2/§6.1.2: evict exactly the cached
 //    pages whose abLSN covers operations beyond the failed TC's stable
-//    log; on multi-TC pages, reset only the failed TC's records.
+//    log; on multi-TC pages, reset only the failed TC's records;
+//  * per-TC redo epochs, so a restarting TC skips the redo of a DC that
+//    lost nothing. The DC moves a TC to a new epoch whenever it may have
+//    lost that TC's effects: a crash, a replica wipe or a promotion (every
+//    TC), a reset by the TC that reverted anything (a page dropped, merged
+//    or carried from an earlier reset, a DC-log batch discarded, an SMO
+//    replay that rewrote a page, or a local redo-log replay), and an
+//    escalation naming the TC. A kRestartEnd echoing the current epoch
+//    marks the TC settled; a kRestartBegin finding it still settled
+//    answers redo_intact. No TC is settled at a fresh DC.
 #pragma once
 
 #include <atomic>
@@ -91,6 +100,9 @@ struct DataComponentStats {
   /// claim (split-copied / merge-unioned over-coverage on a reverted
   /// page) and re-executed the op instead.
   std::atomic<uint64_t> redo_stale_coverage_overrides{0};
+  /// TC resets answered redo_intact: the restarting TC skipped its redo
+  /// here.
+  std::atomic<uint64_t> resets_intact{0};
   // Scan-stream cursor machinery (PR 4).
   std::atomic<uint64_t> scan_streams{0};        ///< streams opened
   std::atomic<uint64_t> scan_chunks_emitted{0};
@@ -215,6 +227,9 @@ class DataComponent : public DcService {
   StableStore* store() { return store_; }
   const DataComponentStats& stats() const { return stats_; }
   const DataComponentOptions& options() const { return options_; }
+  /// Whether `tc` is settled here: a redo pass of the current epoch
+  /// completed, so this DC holds every op of the TC's log.
+  bool RedoSettled(TcId tc) const;
 
  private:
   struct ApplyOutcome {
@@ -362,12 +377,34 @@ class DataComponent : public DcService {
   mutable std::mutex cursor_mu_;
   std::map<std::pair<TcId, uint64_t>, std::shared_ptr<ScanCursor>> cursors_;
 
-  /// Per-TC high-water mark of lsns re-executed by the CURRENT
-  /// post-regression redo pass (tracked only while the TC's LWM is
-  /// disallowed, i.e. between a state regression and the TC's
-  /// restart-end). Reset whenever a new regression begins.
-  std::mutex redo_mu_;
-  std::map<TcId, Lsn> redo_fresh_max_;
+  /// One TC's redo state, guarded by redo_mu_.
+  struct TcRedo {
+    /// High-water mark of lsns re-executed by the CURRENT
+    /// post-regression redo pass (tracked only while the TC's LWM is
+    /// disallowed, i.e. between a state regression and the TC's
+    /// restart-end); 0 = none. Reset whenever a new regression begins.
+    Lsn fresh_max = 0;
+    /// The TC's redo epoch; 0 = redo_epoch_floor_.
+    uint64_t epoch = 0;
+    /// A redo pass of `epoch` completed (kRestartEnd echoed it).
+    bool settled = false;
+  };
+  /// The TC's current redo epoch. Caller holds redo_mu_.
+  uint64_t RedoEpochLocked(TcId tc) const;
+  /// The DC may have lost `tc`'s effects: a new epoch, not settled, and
+  /// a fresh redo high-water mark. Caller holds redo_mu_.
+  void BumpRedoEpochLocked(TcId tc);
+  /// The same for every TC (crash, wipe, promotion). Caller holds
+  /// redo_mu_.
+  void BumpAllRedoEpochsLocked();
+
+  mutable std::mutex redo_mu_;
+  std::map<TcId, TcRedo> redo_tcs_;
+  /// The last epoch handed out, and the epoch of every TC without one of
+  /// its own (raised by BumpAllRedoEpochsLocked). Epoch 0 is never used:
+  /// a kRestartEnd carrying it settles nothing.
+  uint64_t redo_epoch_clock_ = 1;
+  uint64_t redo_epoch_floor_ = 1;
   /// Serializes recovery-resend execution: the channel can duplicate a
   /// redo batch, and two copies interleaving on the server threads
   /// would re-execute ops out of LSN order. Recursive because

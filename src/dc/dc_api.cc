@@ -281,6 +281,7 @@ void ControlRequest::EncodeTo(std::string* dst) const {
   PutFixed16(dst, tc_id);
   PutVarint64(dst, lsn);
   PutVarint64(dst, seq);
+  PutVarint64(dst, redo_epoch);
 }
 
 bool ControlRequest::DecodeFrom(Slice* input, ControlRequest* out) {
@@ -290,6 +291,7 @@ bool ControlRequest::DecodeFrom(Slice* input, ControlRequest* out) {
   if (!GetFixed16(input, &out->tc_id)) return false;
   if (!GetVarint64(input, &out->lsn)) return false;
   if (!GetVarint64(input, &out->seq)) return false;
+  if (!GetVarint64(input, &out->redo_epoch)) return false;
   return true;
 }
 
@@ -301,8 +303,10 @@ void ControlReply::EncodeTo(std::string* dst) const {
   PutLengthPrefixedSlice(dst, status.message());
   PutVarint32(dst, static_cast<uint32_t>(escalate_tcs.size()));
   for (TcId tc : escalate_tcs) PutFixed16(dst, tc);
-  dst->push_back(static_cast<char>(replication_enabled ? 1 : 0));
+  dst->push_back(static_cast<char>((replication_enabled ? 1 : 0) |
+                                   (redo_intact ? 2 : 0)));
   PutVarint64(dst, rlsn);
+  PutVarint64(dst, redo_epoch);
 }
 
 bool ControlReply::DecodeFrom(Slice* input, ControlReply* out) {
@@ -327,8 +331,10 @@ bool ControlReply::DecodeFrom(Slice* input, ControlReply* out) {
   }
   if (input->empty()) return false;
   out->replication_enabled = ((*input)[0] & 1) != 0;
+  out->redo_intact = ((*input)[0] & 2) != 0;
   input->remove_prefix(1);
   if (!GetVarint64(input, &out->rlsn)) return false;
+  if (!GetVarint64(input, &out->redo_epoch)) return false;
   return true;
 }
 

@@ -85,13 +85,25 @@ enum class ControlType : uint8_t {
   kEndOfStableLog = 1,  ///< EOSL: TC log stable through this LSN (WAL).
   kLowWaterMark = 2,    ///< LWM: TC has replies for all LSNs <= arg (§5.1.2).
   kCheckpoint = 3,      ///< newRSSP: flush pages with ops below it (§4.2.1).
-  kRestartBegin = 4,    ///< TC restart: arg = LSNst (stable TC log end).
-  kRestartEnd = 5,      ///< TC restart finished; resume normal service.
+  /// TC restart: arg = LSNst (stable TC log end). The DC resets the
+  /// TC's lost effects and answers with the TC's redo epoch, plus
+  /// redo_intact when its pages already hold every op of that stable
+  /// log: the TC was settled (below) and the reset reverted nothing. The
+  /// TC then ships no redo to this DC.
+  kRestartBegin = 4,
+  /// A redo pass finished; resume normal service (re-arms the TC's LWM).
+  /// A request echoing the redo epoch the pass began under marks the TC
+  /// settled at this DC, but only while that epoch is still current.
+  /// redo_epoch 0 (a fresh Start(), a pass that may have missed an op)
+  /// settles nothing.
+  kRestartEnd = 5,
   kDcCheckpoint = 6,    ///< Ask the DC to take a local checkpoint.
   /// Does the DC keep a redo log, and how far does it reach? The reply
   /// carries replication_enabled + rlsn (the DC's applied end). A TC
   /// recovering this DC asks first: a positive answer turns the full
-  /// redo-resend into a suffix-only resend.
+  /// redo-resend into a suffix-only resend. The reply also carries the
+  /// TC's redo epoch, which the TC echoes in the kRestartEnd that closes
+  /// its redo pass.
   kQueryReplication = 7,
 };
 
@@ -100,6 +112,9 @@ struct ControlRequest {
   TcId tc_id = 0;
   Lsn lsn = kInvalidLsn;  ///< EOSL / LWM / newRSSP / LSNst, per type.
   uint64_t seq = 0;       ///< Correlation id for the reply.
+  /// kRestartEnd: the redo epoch the finished pass began under (from the
+  /// kRestartBegin or kQueryReplication reply); 0 = settle nothing.
+  uint64_t redo_epoch = 0;
 
   void EncodeTo(std::string* dst) const;
   static bool DecodeFrom(Slice* input, ControlRequest* out);
@@ -121,6 +136,14 @@ struct ControlReply {
   /// below the oldest op a lagging replica still needs, so log pruning
   /// never outruns the slowest standby.
   uint64_t rlsn = 0;
+  /// kRestartBegin / kQueryReplication: the TC's redo epoch at this DC.
+  /// The DC moves to a new epoch whenever it may have lost the TC's
+  /// effects (a crash, a promotion, a reset that reverted any of them).
+  uint64_t redo_epoch = 0;
+  /// kRestartBegin: this DC's pages hold every op of the TC's stable log,
+  /// so its redo can be skipped. Travels in bit 1 of the byte that
+  /// carries replication_enabled.
+  bool redo_intact = false;
 
   void EncodeTo(std::string* dst) const;
   static bool DecodeFrom(Slice* input, ControlReply* out);

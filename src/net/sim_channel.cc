@@ -1,5 +1,7 @@
 #include "net/sim_channel.h"
 
+#include "net/frame.h"
+
 namespace untx {
 
 SimChannel::SimChannel(ChannelOptions options)
@@ -22,6 +24,9 @@ void SimChannel::Send(std::string msg) {
     ++sent_;
     if (options_.drop_prob > 0 && rng_.Bernoulli(options_.drop_prob)) {
       ++dropped_;
+      if (msg.size() > kFrameHeaderSize) {
+        ++dropped_kinds_[static_cast<uint8_t>(msg[kFrameHeaderSize])];
+      }
       return;
     }
     const bool dup =
@@ -111,6 +116,11 @@ uint64_t SimChannel::delivered() const {
   std::lock_guard<std::mutex> guard(mu_);
   return delivered_;
 }
+uint64_t SimChannel::dropped_kind(uint8_t kind) const {
+  std::lock_guard<std::mutex> guard(mu_);
+  return dropped_kinds_[kind];
+}
+
 uint64_t SimChannel::dropped() const {
   std::lock_guard<std::mutex> guard(mu_);
   return dropped_;

@@ -10,6 +10,7 @@
 // idempotence turn this lossy channel into exactly-once execution.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -60,6 +61,8 @@ class SimChannel {
   uint64_t sent() const;
   uint64_t delivered() const;
   uint64_t dropped() const;
+  /// Dropped messages that were frames (net/frame.h) of this kind.
+  uint64_t dropped_kind(uint8_t kind) const;
   uint64_t duplicated() const;
   size_t InFlight() const;
 
@@ -92,6 +95,7 @@ class SimChannel {
   uint64_t sent_ = 0;
   uint64_t delivered_ = 0;
   uint64_t dropped_ = 0;
+  std::array<uint64_t, 256> dropped_kinds_{};
   uint64_t duplicated_ = 0;
 };
 

@@ -1225,15 +1225,10 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
     std::vector<std::pair<TableId, std::string>> versioned_keys;
   };
   std::map<TxnId, OpenTxn> open;
-  // One buffer and one key buffer for the whole scan; records decode as
-  // slices of the buffer.
-  std::string payload;
+  // Records decode as slices of the log's own payloads, a chunk of them
+  // per log-mutex hold; one key buffer serves the whole scan.
   std::string key_buf;
-  for (uint64_t i = begin; i < end; ++i) {
-    if (!log_.ReadAt(i, &payload).ok()) {
-      return Status::Corruption("unreadable tc log record");
-    }
-    Slice in(payload);
+  Status scanned = log_.Scan(begin, end, [&](uint64_t i, Slice in) {
     TcLogRecordView rec;
     if (!TcLogRecordView::DecodeFrom(&in, &rec)) {
       return Status::Corruption("bad tc log record");
@@ -1285,8 +1280,15 @@ Status TransactionComponent::Analyze(AnalysisResult* out) {
         out->committed_pending_promote.erase(rec.txn);
         break;
     }
+    return Status::OK();
+  });
+  if (!scanned.ok()) {
+    return scanned.IsCorruption()
+               ? scanned
+               : Status::Corruption("unreadable tc log record");
   }
   // The losers: re-read each open txn's writes for their undo images.
+  std::string payload;
   for (auto& [id, txn] : open) {
     TxnState& state = out->losers[id];
     state.id = id;
@@ -1338,8 +1340,8 @@ std::optional<DcId> TransactionComponent::RedoTarget(
 }
 
 Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
-                                        bool all_dcs,
-                                        uint64_t dc_redo_end) {
+                                        bool all_dcs, uint64_t dc_redo_end,
+                                        uint64_t* scanned_end) {
   // Snapshot the acked-rlsn records for the target DC: ops the revived
   // DC's redo log already holds (recorded rlsn <= its surviving end) are
   // skipped below — the suffix-only resend.
@@ -1364,28 +1366,30 @@ Status TransactionComponent::RedoResend(Lsn from_lsn, DcId only_dc,
   // ("redo repeats history by delivering operations in the correct order
   // to the DC", §3.2).
   RedoIndex index;
-  std::string payload;
   std::string key_buf;
-  for (uint64_t i = begin; i < end; ++i) {
-    if (!log_.ReadAt(i, &payload).ok()) {
-      return Status::Corruption("unreadable tc log record in redo range");
-    }
-    Slice in(payload);
+  Status scanned = log_.Scan(begin, end, [&](uint64_t i, Slice in) {
     TcLogRecordView rec;
     if (!TcLogRecordView::DecodeFrom(&in, &rec)) {
       return Status::Corruption("bad tc log record in redo range");
     }
     const std::optional<DcId> dc = RedoTarget(rec, &key_buf);
-    if (!dc || (!all_dcs && *dc != only_dc)) continue;
+    if (!dc || (!all_dcs && *dc != only_dc)) return Status::OK();
     if (dc_redo_end != 0 && !all_dcs) {
       auto ack_it = acked.find(static_cast<Lsn>(i + 1));
       if (ack_it != acked.end() && ack_it->second <= dc_redo_end) {
         stats_.suffix_skipped_ops.fetch_add(1);
-        continue;
+        return Status::OK();
       }
     }
     index[*dc].push_back(i);
+    return Status::OK();
+  });
+  if (!scanned.ok()) {
+    return scanned.IsCorruption()
+               ? scanned
+               : Status::Corruption("unreadable tc log record in redo range");
   }
+  if (scanned_end != nullptr) *scanned_end = end;
   return ShipRedo(index);
 }
 
@@ -1574,6 +1578,8 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
                    escalate.end());
     *escalate_out = escalate;
   };
+  // Each DC's redo epoch, echoed by the kRestartEnd that closes the pass.
+  std::map<DcId, uint64_t> epochs;
   for (const auto& binding : dcs_) {
     ControlRequest req;
     req.type = ControlType::kRestartBegin;
@@ -1590,6 +1596,13 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
       // must resend whether or not this restart is retried.
       report_escalations();
       return reply->status;
+    }
+    epochs[binding.id] = reply->redo_epoch;
+    // The DC's pages already hold every op of the stable log (it lost
+    // nothing since the last completed redo pass): no redo to ship.
+    if (reply->redo_intact) {
+      analysis.redo.erase(binding.id);
+      stats_.restart_redo_skipped_dcs.fetch_add(1);
     }
   }
   PushControls();
@@ -1643,6 +1656,7 @@ Status TransactionComponent::Restart(std::vector<TcId>* escalate_out) {
     ControlRequest req;
     req.type = ControlType::kRestartEnd;
     req.tc_id = options_.tc_id;
+    req.redo_epoch = epochs[binding.id];
     ControlAwait(binding.id, req, 10000);
   }
   log_.Force();
@@ -1669,16 +1683,21 @@ Status TransactionComponent::OnDcRestart(DcId dc) {
   // unacknowledged in-flight suffix — need resending. rlsn 0 (no log,
   // or state not known to reflect it) degrades to the full resend.
   uint64_t dc_redo_end = 0;
+  uint64_t epoch = 0;
   {
     ControlRequest req;
     req.type = ControlType::kQueryReplication;
     req.tc_id = options_.tc_id;
     StatusOr<ControlReply> qr = ControlAwait(dc, req, 10000);
-    if (qr.ok() && qr->status.ok() && qr->replication_enabled) {
-      dc_redo_end = qr->rlsn;
+    if (qr.ok() && qr->status.ok()) {
+      epoch = qr->redo_epoch;
+      if (qr->replication_enabled) dc_redo_end = qr->rlsn;
     }
   }
-  Status s = RedoResend(rssp(), dc, /*all_dcs=*/false, dc_redo_end);
+  const uint64_t reserved_end = log_.total_end();
+  uint64_t scanned_end = 0;
+  Status s = RedoResend(rssp(), dc, /*all_dcs=*/false, dc_redo_end,
+                        &scanned_end);
   {
     std::lock_guard<std::mutex> guard(out_mu_);
     dc_recovering_[dc] = false;
@@ -1689,6 +1708,7 @@ Status TransactionComponent::OnDcRestart(DcId dc) {
     ControlRequest req;
     req.type = ControlType::kRestartEnd;
     req.tc_id = options_.tc_id;
+    req.redo_epoch = SettleEpoch(epoch, reserved_end, scanned_end);
     ControlAwait(dc, req, 10000);
   }
   resend_daemon_.Poke();
@@ -1696,13 +1716,28 @@ Status TransactionComponent::OnDcRestart(DcId dc) {
 }
 
 Status TransactionComponent::ResendFromRssp() {
-  Status s = RedoResend(rssp(), /*only_dc=*/0, /*all_dcs=*/true);
+  // The epoch each DC holds this TC at before the pass begins: an
+  // escalation moved it, and the closing kRestartEnd echoes it.
+  std::map<DcId, uint64_t> epochs;
+  for (const auto& binding : dcs_) {
+    ControlRequest req;
+    req.type = ControlType::kQueryReplication;
+    req.tc_id = options_.tc_id;
+    StatusOr<ControlReply> qr = ControlAwait(binding.id, req, 10000);
+    if (qr.ok() && qr->status.ok()) epochs[binding.id] = qr->redo_epoch;
+  }
+  const uint64_t reserved_end = log_.total_end();
+  uint64_t scanned_end = 0;
+  Status s = RedoResend(rssp(), /*only_dc=*/0, /*all_dcs=*/true,
+                        /*dc_redo_end=*/0, &scanned_end);
   if (!s.ok()) return s;
   // Escalated resend complete (§6.1.2): re-arm the LWM contract.
   for (const auto& binding : dcs_) {
     ControlRequest req;
     req.type = ControlType::kRestartEnd;
     req.tc_id = options_.tc_id;
+    req.redo_epoch =
+        SettleEpoch(epochs[binding.id], reserved_end, scanned_end);
     ControlAwait(binding.id, req, 10000);
   }
   return s;

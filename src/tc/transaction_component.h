@@ -184,6 +184,9 @@ struct TcStats {
   /// Wall time spent shipping redo streams, on every redo path (TC
   /// restart, DC recovery, §6.1.2 escalation).
   std::atomic<uint64_t> redo_ship_us{0};
+  /// DCs whose restart redo was skipped because their reset answered
+  /// redo_intact: they already held every op of the stable log.
+  std::atomic<uint64_t> restart_redo_skipped_dcs{0};
 };
 
 struct DcBinding {
@@ -308,8 +311,8 @@ class TransactionComponent {
   /// locks, all outstanding operations.
   void Crash();
 
-  /// TC restart (§5.3.2): reset DCs, redo-resend from RSSP, undo losers.
-  /// escalate_out (optional) collects TCs that must also resend due to
+  /// TC restart (§5.3.2): reset DCs, redo-resend from RSSP to every DC
+  /// whose reset did not answer redo_intact, undo losers. escalate_out (optional) collects TCs that must also resend due to
   /// multi-TC page resets (§6.1.2), also when a DC reset fails (e.g. a
   /// page stayed pinned past its drop deadline); a failed restart may be
   /// retried.
@@ -586,9 +589,21 @@ class TransactionComponent {
   /// resends only): skip ops whose DC-acknowledged redo-log position
   /// (OperationReply::rlsn, recorded in acked_rlsns_) is <= dc_redo_end —
   /// the revived DC already holds and replayed/applied them, so only the
-  /// in-flight suffix travels.
+  /// in-flight suffix travels. `scanned_end` (optional) receives the log
+  /// index the scan stopped at: the sealed prefix end.
   Status RedoResend(Lsn from_lsn, DcId only_dc, bool all_dcs,
-                    uint64_t dc_redo_end = 0);
+                    uint64_t dc_redo_end = 0,
+                    uint64_t* scanned_end = nullptr);
+
+  /// The redo epoch a kRestartEnd may echo after a live redo pass (DC
+  /// recovery, escalation) that began under `epoch`: the epoch if the
+  /// pass scanned past every record reserved before it began
+  /// (`reserved_end`), else 0. A record still unsealed at the scan hides
+  /// the sealed records after it, and the DC may have lost those.
+  static uint64_t SettleEpoch(uint64_t epoch, uint64_t reserved_end,
+                              uint64_t scanned_end) {
+    return scanned_end >= reserved_end ? epoch : 0;
+  }
 
   /// Ships every DC's redo stream on its own worker thread and joins
   /// them; a failing stream does not stop the others. Returns the first

@@ -1,5 +1,6 @@
 #include "wal/stable_log.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <thread>
@@ -213,6 +214,26 @@ Status StableLog::ReadAt(uint64_t index, std::string* out) const {
     return Status::Busy("log record not sealed");
   }
   *out = rec.payload;
+  return Status::OK();
+}
+
+Status StableLog::Scan(uint64_t begin, uint64_t end,
+                       const RecordVisitor& visit) const {
+  uint64_t index = begin;
+  while (index < end) {
+    const uint64_t chunk_end = std::min(end, index + kScanChunkRecords);
+    std::lock_guard<std::mutex> guard(mu_);
+    if (index < base_) return Status::NotFound("log record truncated");
+    for (; index < chunk_end; ++index) {
+      if (index >= base_ + records_.size()) {
+        return Status::NotFound("log record beyond end");
+      }
+      const Record& rec = records_[index - base_];
+      if (!rec.sealed) return Status::Busy("log record not sealed");
+      Status s = visit(index, Slice(rec.payload));
+      if (!s.ok()) return s;
+    }
+  }
   return Status::OK();
 }
 

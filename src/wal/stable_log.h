@@ -20,10 +20,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/slice.h"
 #include "common/status.h"
 
 namespace untx {
@@ -76,6 +78,19 @@ class StableLog {
   /// Reads a record. Only stable or sealed-volatile records are readable;
   /// reading an unsealed reservation returns kBusy.
   Status ReadAt(uint64_t index, std::string* out) const;
+
+  /// Visits records [begin, end) in index order, each as a slice of the
+  /// log's own payload, taking the log mutex once per chunk of
+  /// kScanChunkRecords (appenders and forcers run between chunks). The
+  /// scan stops at the first record ReadAt would refuse and returns its
+  /// status — NotFound for a truncated record or one past the end, Busy
+  /// for an unsealed one — after visiting every record before it. A
+  /// non-OK status from `visit` stops the scan and is returned. `visit`
+  /// runs under the mutex: it must not call into this log, and its slice
+  /// dies when it returns.
+  using RecordVisitor = std::function<Status(uint64_t index, Slice payload)>;
+  Status Scan(uint64_t begin, uint64_t end, const RecordVisitor& visit) const;
+  static constexpr uint64_t kScanChunkRecords = 256;
 
   /// Drops the volatile tail (sealed or not). This is the component crash.
   void Crash();

@@ -10,6 +10,8 @@
 #include <thread>
 
 #include "common/random.h"
+#include "dc/dc_api.h"
+#include "kernel/channel_transport.h"
 #include "kernel/unbundled_db.h"
 
 namespace untx {
@@ -85,10 +87,23 @@ TEST_P(ChannelFaultTest, CountersBalance) {
     ASSERT_TRUE(txn.Insert(kTable, Key(i), "v").ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  const auto [drop, dup, delay] = GetParam();
-  if (drop > 0) {
+  // Only a lost op request or op reply needs a resend: a lost control
+  // message (EOSL/LWM pushes repeat anyway) does not.
+  const SimChannel& requests = db->channel()->request_channel();
+  const SimChannel& replies = db->channel()->reply_channel();
+  auto dropped = [](const SimChannel& ch, MessageKind kind) {
+    return ch.dropped_kind(static_cast<uint8_t>(kind));
+  };
+  const uint64_t op_drops =
+      dropped(requests, MessageKind::kOperationRequest) +
+      dropped(requests, MessageKind::kOperationBatch) +
+      dropped(replies, MessageKind::kOperationReply) +
+      dropped(replies, MessageKind::kOperationBatchReply);
+  if (op_drops > 0) {
     EXPECT_GT(db->tc()->stats().resends.load(), 0u)
-        << "losses must trigger resends";
+        << "lost op messages must trigger resends; dropped: " << op_drops
+        << " op messages, " << requests.dropped() << " requests and "
+        << replies.dropped() << " replies in all";
   }
   // Idempotence machinery absorbed every duplicate: the DC never
   // reported a conflicting-op violation.

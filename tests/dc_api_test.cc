@@ -146,6 +146,55 @@ TEST(DcApiTest, ControlRoundTrip) {
   EXPECT_EQ(rout.escalate_tcs[1], 9);
 }
 
+// The redo-skip fields: the echoed epoch on the request; the epoch and
+// the intact flag on the reply, whose flag shares a byte with
+// replication_enabled (bit 0) as bit 1.
+TEST(DcApiTest, RedoEpochAndIntactRoundTrip) {
+  ControlRequest req;
+  req.type = ControlType::kRestartEnd;
+  req.tc_id = 3;
+  req.seq = 8;
+  req.redo_epoch = (1ull << 40) + 5;
+  std::string buf;
+  req.EncodeTo(&buf);
+  Slice in(buf);
+  ControlRequest out;
+  ASSERT_TRUE(ControlRequest::DecodeFrom(&in, &out));
+  EXPECT_EQ(out.type, ControlType::kRestartEnd);
+  EXPECT_EQ(out.redo_epoch, req.redo_epoch);
+  EXPECT_TRUE(in.empty());
+  for (size_t cut = 0; cut < buf.size(); ++cut) {
+    Slice part(buf.data(), cut);
+    EXPECT_FALSE(ControlRequest::DecodeFrom(&part, &out)) << "cut=" << cut;
+  }
+
+  for (int bits = 0; bits < 4; ++bits) {
+    ControlReply reply;
+    reply.type = ControlType::kRestartBegin;
+    reply.tc_id = 3;
+    reply.seq = 8;
+    reply.status = Status::OK();
+    reply.replication_enabled = (bits & 1) != 0;
+    reply.redo_intact = (bits & 2) != 0;
+    reply.rlsn = 77;
+    reply.redo_epoch = 900 + bits;
+    buf.clear();
+    reply.EncodeTo(&buf);
+    Slice in2(buf);
+    ControlReply rout;
+    ASSERT_TRUE(ControlReply::DecodeFrom(&in2, &rout));
+    EXPECT_EQ(rout.replication_enabled, reply.replication_enabled) << bits;
+    EXPECT_EQ(rout.redo_intact, reply.redo_intact) << bits;
+    EXPECT_EQ(rout.rlsn, 77u);
+    EXPECT_EQ(rout.redo_epoch, reply.redo_epoch);
+    EXPECT_TRUE(in2.empty());
+    for (size_t cut = 0; cut < buf.size(); ++cut) {
+      Slice part(buf.data(), cut);
+      EXPECT_FALSE(ControlReply::DecodeFrom(&part, &rout)) << "cut=" << cut;
+    }
+  }
+}
+
 TEST(DcApiTest, EnvelopeRoundTrip) {
   std::string wire = WrapMessage(MessageKind::kOperationReply, "body");
   MessageKind kind;

@@ -186,5 +186,49 @@ TEST(FrameCodec, WrapMessageIsExactlyOneFrame) {
   EXPECT_FALSE(UnwrapMessage("not a frame", &mk, &mbody));
 }
 
+// A restart's control exchange through the codec, as the channel and
+// socket transports carry it: the echoed redo epoch and the reply's
+// epoch and intact flag survive framing and a stream split mid-frame.
+TEST(FrameReaderTest, RestartControlFieldsSurviveFraming) {
+  ControlRequest req;
+  req.type = ControlType::kRestartEnd;
+  req.tc_id = 2;
+  req.seq = 41;
+  req.redo_epoch = 12345;
+  ControlReply reply;
+  reply.type = ControlType::kRestartBegin;
+  reply.tc_id = 2;
+  reply.seq = 40;
+  reply.status = Status::OK();
+  reply.redo_epoch = 12345;
+  reply.redo_intact = true;
+  std::string req_body, reply_body;
+  req.EncodeTo(&req_body);
+  reply.EncodeTo(&reply_body);
+  const std::string stream =
+      WrapMessage(MessageKind::kControlRequest, req_body) +
+      WrapMessage(MessageKind::kControlReply, reply_body);
+
+  FrameReader reader;
+  reader.Feed(stream.data(), 5);
+  reader.Feed(stream.data() + 5, stream.size() - 5);
+  uint8_t kind = 0;
+  std::string body;
+  ASSERT_EQ(reader.Next(&kind, &body), FrameDecode::kOk);
+  ASSERT_EQ(kind, static_cast<uint8_t>(MessageKind::kControlRequest));
+  Slice in(body);
+  ControlRequest got_req;
+  ASSERT_TRUE(ControlRequest::DecodeFrom(&in, &got_req));
+  EXPECT_EQ(got_req.redo_epoch, 12345u);
+  ASSERT_EQ(reader.Next(&kind, &body), FrameDecode::kOk);
+  ASSERT_EQ(kind, static_cast<uint8_t>(MessageKind::kControlReply));
+  Slice in2(body);
+  ControlReply got_reply;
+  ASSERT_TRUE(ControlReply::DecodeFrom(&in2, &got_reply));
+  EXPECT_EQ(got_reply.redo_epoch, 12345u);
+  EXPECT_TRUE(got_reply.redo_intact);
+  EXPECT_FALSE(got_reply.replication_enabled);
+}
+
 }  // namespace
 }  // namespace untx

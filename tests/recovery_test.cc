@@ -1,7 +1,8 @@
 // Partial-failure tests (§5.3): DC crash, TC crash, combined, and crash
 // storms checked against an in-memory model; concurrent per-DC redo on a
-// 3-DC cluster, a DC crash inside a restart's redo, and checkpoints that
-// race a DC recovery.
+// 3-DC cluster, a DC crash inside a restart's redo, restarts that skip
+// the redo of a DC that lost nothing, and checkpoints that race a DC
+// recovery.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -557,7 +558,9 @@ ClusterOptions ThreeDcOptions(TransportKind transport) {
 
 /// The redo a restart must ship, counted straight from the stable log
 /// (no checkpoint, so from its start): per DC, the applied writes.
-std::map<DcId, uint64_t> StableRedoOps(TransactionComponent* tc) {
+std::map<DcId, uint64_t> StableRedoOps(
+    TransactionComponent* tc,
+    DcId (*route)(TableId, const std::string&) = RouteByLastDigit) {
   std::map<DcId, uint64_t> out;
   StableLog* log = tc->log();
   for (uint64_t i = log->truncated_prefix(); i < log->stable_end(); ++i) {
@@ -571,7 +574,7 @@ std::map<DcId, uint64_t> StableRedoOps(TransactionComponent* tc) {
       continue;
     }
     if (!IsWriteOp(rec.op) || !rec.applied) continue;
-    ++out[RouteByLastDigit(rec.table_id, rec.key)];
+    ++out[route(rec.table_id, rec.key)];
   }
   return out;
 }
@@ -806,6 +809,308 @@ TEST(ConcurrentRedoFaultTest, DcCrashMidRedoFailsOnlyItsStream) {
   ASSERT_TRUE(cluster->RecoverDc(kVictim).ok());
   ASSERT_TRUE(cluster->RestartTc(0).ok());
   fixture.ExpectCommittedStateOnly();
+}
+
+// ---- Restart redo skip: a DC that lost nothing gets no redo ----------------
+
+constexpr int kSkipDcs = 2;
+
+/// Keys ending in an even digit live on DC 0, the others on DC 1.
+DcId RouteByParity(TableId, const std::string& key) {
+  return key.empty() ? 0 : static_cast<DcId>((key.back() - '0') % kSkipDcs);
+}
+
+/// The counters a restart's skip decision moves.
+struct SkipCounters {
+  uint64_t resent = 0;   ///< TcStats::recovery_resent_ops
+  uint64_t skipped = 0;  ///< TcStats::restart_redo_skipped_dcs
+  uint64_t intact[kSkipDcs] = {};     ///< resets_intact per DC
+  uint64_t overrides[kSkipDcs] = {};  ///< redo_stale_coverage_overrides
+};
+
+/// TCs over two DCs, checked against a model of the committed rows.
+/// Without daemons a TC forces its log only at commit, so an
+/// uncommitted write stays past the stable end until a crash drops it.
+class SkipRedo {
+ public:
+  Status Open(int num_tcs, bool daemons, uint32_t op_timeout_ms = 0) {
+    ClusterOptions options;
+    options.num_dcs = kSkipDcs;
+    options.transport = TransportKind::kDirect;
+    options.store.page_size = 1024;
+    options.store.trailer_capacity = 128;
+    options.dc.max_value_size = 200;
+    options.default_router = RouteByParity;
+    for (int t = 0; t < num_tcs; ++t) {
+      TcSpec spec;
+      spec.options.tc_id = static_cast<TcId>(t + 1);
+      spec.options.start_daemons = daemons;
+      spec.options.control_interval_ms = 5;
+      spec.options.resend_interval_ms = 20;
+      if (op_timeout_ms > 0) spec.options.op_timeout_ms = op_timeout_ms;
+      options.tcs.push_back(spec);
+    }
+    auto cluster = Cluster::Open(std::move(options));
+    if (!cluster.ok()) return cluster.status();
+    cluster_ = std::move(cluster).ValueOrDie();
+    for (int d = 0; d < kSkipDcs; ++d) {
+      Status s = cluster_->tc(0)->CreateTable(kTable, Key(d));
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  /// TC t's row i: the last digit of i picks the DC.
+  static std::string Row(int t, int i) {
+    return std::string(1, static_cast<char>('a' + t)) + Key(i);
+  }
+
+  /// TC t commits rows 0, stride, 2*stride, ... (`rows` of them), four
+  /// upserts per transaction.
+  Status Write(int t, int rows, const std::string& tag, int stride = 1) {
+    TransactionComponent* tc = cluster_->tc(t);
+    for (int n = 0; n < rows; n += 4) {
+      StatusOr<TxnId> txn = tc->Begin();
+      if (!txn.ok()) return txn.status();
+      std::map<std::string, std::string> writes;
+      for (int k = n; k < std::min(rows, n + 4); ++k) {
+        const std::string key = Row(t, k * stride);
+        writes[key] = tag + std::to_string(k);
+        Status s = tc->Upsert(*txn, kTable, key, writes[key]);
+        if (!s.ok()) return s;
+      }
+      Status s = tc->Commit(*txn);
+      if (!s.ok()) return s;
+      for (auto& [key, value] : writes) model_[key] = value;
+    }
+    return Status::OK();
+  }
+
+  /// Leaves an open transaction of TC t whose update of row i was
+  /// applied at its DC but is past the TC's stable end.
+  Status WriteLost(int t, int i) {
+    TransactionComponent* tc = cluster_->tc(t);
+    StatusOr<TxnId> txn = tc->Begin();
+    if (!txn.ok()) return txn.status();
+    Status s = tc->Update(*txn, kTable, Row(t, i), "lost");
+    if (!s.ok()) return s;
+    if (tc->log()->stable_end() >= tc->log()->sealed_prefix_end()) {
+      return Status::InvalidArgument("the lost update was forced");
+    }
+    return Status::OK();
+  }
+
+  /// Every committed row reads back with its committed value.
+  void ExpectModel() {
+    TransactionComponent* tc = cluster_->tc(0);
+    for (const auto& [key, value] : model_) {
+      std::string got;
+      Status s = tc->ReadShared(kTable, key, ReadFlavor::kDirty, &got);
+      ASSERT_TRUE(s.ok()) << key << ": " << s.ToString();
+      ASSERT_EQ(got, value) << key;
+    }
+  }
+
+  SkipCounters Counters(int t) {
+    SkipCounters c;
+    const TcStats& stats = cluster_->tc(t)->stats();
+    c.resent = stats.recovery_resent_ops.load();
+    c.skipped = stats.restart_redo_skipped_dcs.load();
+    for (int d = 0; d < kSkipDcs; ++d) {
+      c.intact[d] = cluster_->dc(d)->stats().resets_intact.load();
+      c.overrides[d] =
+          cluster_->dc(d)->stats().redo_stale_coverage_overrides.load();
+    }
+    return c;
+  }
+
+  /// Crashes and restarts TC t; the first restart after Open redoes
+  /// every DC, since a fresh DC holds no TC settled.
+  Status CrashAndRestart(int t) { return cluster_->CrashAndRestartTc(t); }
+
+  bool Settled(int d, int t) {
+    return cluster_->dc(d)->RedoSettled(cluster_->tc(t)->id());
+  }
+
+  Cluster* cluster() { return cluster_.get(); }
+
+ private:
+  std::unique_ptr<Cluster> cluster_;
+  std::map<std::string, std::string> model_;
+};
+
+// (a) The first restart after Open redoes both DCs and settles the TC at
+// each; the next restart finds both intact and ships nothing.
+TEST(RestartRedoSkipTest, RestartWithBothDcsSettledShipsNothing) {
+  SkipRedo fixture;
+  ASSERT_TRUE(fixture.Open(/*num_tcs=*/1, /*daemons=*/true).ok());
+  ASSERT_TRUE(fixture.Write(0, 200, "a").ok());
+  EXPECT_FALSE(fixture.Settled(0, 0));
+  SkipCounters before = fixture.Counters(0);
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  SkipCounters after = fixture.Counters(0);
+  EXPECT_GE(after.resent - before.resent, 200u);
+  EXPECT_EQ(after.skipped, before.skipped);
+  fixture.ExpectModel();
+  EXPECT_TRUE(fixture.Settled(0, 0));
+  EXPECT_TRUE(fixture.Settled(1, 0));
+
+  ASSERT_TRUE(fixture.Write(0, 200, "b").ok());
+  before = fixture.Counters(0);
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  after = fixture.Counters(0);
+  EXPECT_EQ(after.resent, before.resent) << "a settled DC got redo";
+  EXPECT_EQ(after.skipped - before.skipped, 2u);
+  for (int d = 0; d < kSkipDcs; ++d) {
+    EXPECT_EQ(after.intact[d] - before.intact[d], 1u) << d;
+    EXPECT_EQ(after.overrides[d], before.overrides[d]) << d;
+  }
+  fixture.ExpectModel();
+}
+
+// (b) DC 0 crashes and recovers while the TC is down: the down TC cannot
+// finish its redo pass, and the kRestartEnd of a later Start() carries no
+// epoch. The restart that follows redoes DC 0 in full.
+TEST(RestartRedoSkipTest, DcCrashWhileTcIsDownIsRedoneInFull) {
+  SkipRedo fixture;
+  ASSERT_TRUE(fixture.Open(1, /*daemons=*/true, /*op_timeout_ms=*/300).ok());
+  ASSERT_TRUE(fixture.Write(0, 300, "a").ok());
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.Settled(0, 0));
+  ASSERT_TRUE(fixture.Write(0, 300, "b").ok());
+
+  Cluster* cluster = fixture.cluster();
+  TransactionComponent* tc = cluster->tc(0);
+  cluster->CrashTc(0);
+  cluster->CrashDc(0);
+  EXPECT_FALSE(cluster->RecoverDc(0).ok())
+      << "a crashed TC cannot complete a redo pass";
+  EXPECT_FALSE(fixture.Settled(0, 0));
+  ASSERT_TRUE(tc->Start().ok());
+  EXPECT_FALSE(fixture.Settled(0, 0)) << "Start() settles nothing";
+  EXPECT_TRUE(fixture.Settled(1, 0));
+
+  const uint64_t dc0_redo = StableRedoOps(tc, RouteByParity)[0];
+  const SkipCounters before = fixture.Counters(0);
+  ASSERT_TRUE(cluster->RestartTc(0).ok());
+  const SkipCounters after = fixture.Counters(0);
+  EXPECT_EQ(after.skipped - before.skipped, 1u);
+  EXPECT_EQ(after.intact[0], before.intact[0]);
+  EXPECT_EQ(after.intact[1] - before.intact[1], 1u);
+  EXPECT_EQ(after.resent - before.resent, dc0_redo);
+  fixture.ExpectModel();
+  EXPECT_TRUE(fixture.Settled(0, 0));
+}
+
+// (c) An update past the stable end makes DC 0's reset drop its page:
+// DC 0 is redone, DC 1 (which lost nothing) is skipped.
+TEST(RestartRedoSkipTest, ResetThatDropsAPageRedoesOnlyThatDc) {
+  SkipRedo fixture;
+  ASSERT_TRUE(fixture.Open(1, /*daemons=*/false).ok());
+  ASSERT_TRUE(fixture.Write(0, 200, "a").ok());
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.Write(0, 200, "b").ok());
+  ASSERT_TRUE(fixture.WriteLost(0, 10).ok());  // row a000010 is on DC 0
+
+  Cluster* cluster = fixture.cluster();
+  const uint64_t dropped = cluster->dc(0)->stats().pages_reset_dropped.load();
+  const SkipCounters before = fixture.Counters(0);
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  const SkipCounters after = fixture.Counters(0);
+  EXPECT_GT(cluster->dc(0)->stats().pages_reset_dropped.load(), dropped);
+  EXPECT_EQ(after.skipped - before.skipped, 1u);
+  EXPECT_EQ(after.intact[0], before.intact[0]);
+  EXPECT_EQ(after.intact[1] - before.intact[1], 1u);
+  EXPECT_GT(after.resent, before.resent);
+  fixture.ExpectModel();
+  EXPECT_TRUE(fixture.Settled(0, 0));
+}
+
+// (d) Two TCs share a DC 0 page. TC A's lost update makes its reset drop
+// the page, escalating TC B: B is unsettled until its resend completes,
+// and its next restart then ships nothing.
+TEST(RestartRedoSkipTest, EscalationVictimIsUnsettledUntilItsResendCompletes) {
+  SkipRedo fixture;
+  ASSERT_TRUE(fixture.Open(/*num_tcs=*/2, /*daemons=*/false).ok());
+  // Four short rows each on DC 0 (even keys): one leaf holds all eight.
+  ASSERT_TRUE(fixture.Write(0, 4, "a", /*stride=*/2).ok());
+  ASSERT_TRUE(fixture.Write(1, 4, "b", /*stride=*/2).ok());
+  ASSERT_TRUE(fixture.CrashAndRestart(1).ok());
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.Settled(0, 0));
+  ASSERT_TRUE(fixture.Settled(0, 1));
+
+  Cluster* cluster = fixture.cluster();
+  TransactionComponent* a = cluster->tc(0);
+  TransactionComponent* b = cluster->tc(1);
+  ASSERT_TRUE(fixture.WriteLost(0, 2).ok());
+  cluster->CrashTc(0);
+  const SkipCounters before = fixture.Counters(0);
+  std::vector<TcId> escalate;
+  ASSERT_TRUE(a->Restart(&escalate).ok());
+  const SkipCounters after = fixture.Counters(0);
+  ASSERT_EQ(escalate, std::vector<TcId>{b->id()});
+  EXPECT_EQ(after.skipped - before.skipped, 1u) << "only DC 1 was intact";
+  EXPECT_EQ(after.intact[0], before.intact[0]);
+  EXPECT_TRUE(fixture.Settled(0, 0));
+  EXPECT_FALSE(fixture.Settled(0, 1)) << "the victim lost effects";
+  EXPECT_TRUE(fixture.Settled(1, 1));
+
+  ASSERT_TRUE(b->ResendFromRssp().ok());
+  EXPECT_TRUE(fixture.Settled(0, 1));
+  fixture.ExpectModel();
+
+  const SkipCounters b_before = fixture.Counters(1);
+  ASSERT_TRUE(fixture.CrashAndRestart(1).ok());
+  const SkipCounters b_after = fixture.Counters(1);
+  EXPECT_EQ(b_after.skipped - b_before.skipped, 2u);
+  EXPECT_EQ(b_after.resent, b_before.resent);
+  fixture.ExpectModel();
+}
+
+// (e) A kRestartEnd echoing an epoch from before a reverting reset (a
+// delayed or duplicated one) does not settle the TC.
+TEST(RestartRedoSkipTest, StaleEpochRestartEndDoesNotSettle) {
+  SkipRedo fixture;
+  ASSERT_TRUE(fixture.Open(1, /*daemons=*/false).ok());
+  ASSERT_TRUE(fixture.Write(0, 200, "a").ok());
+  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  Cluster* cluster = fixture.cluster();
+  TransactionComponent* tc = cluster->tc(0);
+  DataComponent* dc = cluster->dc(0);
+  ASSERT_TRUE(fixture.Settled(0, 0));
+  ControlRequest query;
+  query.type = ControlType::kQueryReplication;
+  query.tc_id = tc->id();
+  const uint64_t old_epoch = dc->Control(query).redo_epoch;
+  ASSERT_NE(old_epoch, 0u);
+
+  ASSERT_TRUE(fixture.Write(0, 200, "b").ok());
+  ASSERT_TRUE(fixture.WriteLost(0, 10).ok());
+  cluster->CrashTc(0);
+  // The reset a restart begins with, straight at DC 0.
+  ControlRequest reset;
+  reset.type = ControlType::kRestartBegin;
+  reset.tc_id = tc->id();
+  reset.lsn = tc->stable_lsn();
+  const ControlReply reply = dc->Control(reset);
+  ASSERT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_FALSE(reply.redo_intact);
+  EXPECT_NE(reply.redo_epoch, old_epoch);
+  ControlRequest stale;
+  stale.type = ControlType::kRestartEnd;
+  stale.tc_id = tc->id();
+  stale.redo_epoch = old_epoch;
+  ASSERT_TRUE(dc->Control(stale).status.ok());
+  EXPECT_FALSE(fixture.Settled(0, 0));
+
+  const SkipCounters before = fixture.Counters(0);
+  ASSERT_TRUE(cluster->RestartTc(0).ok());
+  const SkipCounters after = fixture.Counters(0);
+  EXPECT_EQ(after.skipped - before.skipped, 1u);
+  EXPECT_EQ(after.intact[0], before.intact[0]);
+  fixture.ExpectModel();
+  EXPECT_TRUE(fixture.Settled(0, 0));
 }
 
 // ---- Refused in-place upserts -------------------------------------------------

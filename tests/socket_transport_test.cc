@@ -4,8 +4,9 @@
 // separate-process deployment uses (process_cluster_test covers that),
 // same bytes as the simulated channels (frame_codec_test proves the
 // codec identity). Covers: transactions + scans over sockets, crash /
-// recovery through the socket path, wire-counter parity with the channel
-// transport, and DC-side scan-cursor eviction when a session drops.
+// recovery through the socket path (a restart's redo skip included),
+// wire-counter parity with the channel transport, and DC-side
+// scan-cursor eviction when a session drops.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -180,6 +181,30 @@ TEST(SocketTransportTest, TcCrashRestartOverSockets) {
   ASSERT_TRUE(txn.ok());
   ASSERT_TRUE(tc->Upsert(*txn, kTableA, Key(91), "post-restart").ok());
   ASSERT_TRUE(tc->Commit(*txn).ok());
+}
+
+// The redo skip across real connections: the first restart after Open
+// redoes both DCs and settles the TC at each (the kRestartEnd echoes the
+// redo epoch over TCP); the second finds both intact and ships nothing.
+TEST(SocketTransportTest, TcRestartSkipsRedoOfIntactDcsOverSockets) {
+  auto cluster = OpenCluster(TransportKind::kSocket);
+  auto model = RunWorkload(cluster.get());
+  TransactionComponent* tc = cluster->tc(1);
+  const TcStats& stats = tc->stats();
+  const uint64_t resent_before = stats.recovery_resent_ops.load();
+  ASSERT_TRUE(cluster->CrashAndRestartTc(1).ok());
+  EXPECT_GT(stats.recovery_resent_ops.load(), resent_before);
+  EXPECT_EQ(stats.restart_redo_skipped_dcs.load(), 0u);
+  ExpectState(cluster.get(), model);
+
+  const uint64_t resent = stats.recovery_resent_ops.load();
+  ASSERT_TRUE(cluster->CrashAndRestartTc(1).ok());
+  EXPECT_EQ(stats.recovery_resent_ops.load(), resent);
+  EXPECT_EQ(stats.restart_redo_skipped_dcs.load(), 2u);
+  for (int d = 0; d < 2; ++d) {
+    EXPECT_EQ(cluster->dc(d)->stats().resets_intact.load(), 1u) << d;
+  }
+  ExpectState(cluster.get(), model);
 }
 
 /// Satellite invariant: a dropped session evicts the DC-side scan

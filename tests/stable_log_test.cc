@@ -5,6 +5,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <vector>
 
 namespace untx {
 namespace {
@@ -76,6 +77,99 @@ TEST(StableLogTest, ReadUnsealedIsBusy) {
   const uint64_t r = log.Reserve();
   std::string out;
   EXPECT_TRUE(log.ReadAt(r, &out).IsBusy());
+}
+
+// Scan visits stable and sealed-volatile records alike, in index order
+// and across chunk boundaries, as slices of the stored payloads.
+TEST(StableLogTest, ScanVisitsSealedRecordsAcrossChunks) {
+  StableLog log;
+  const uint64_t n = 3 * StableLog::kScanChunkRecords + 7;
+  for (uint64_t i = 0; i < n; ++i) {
+    log.Append(std::to_string(i));
+    if (i == n / 2) log.Force();  // the rest stays volatile but sealed
+  }
+  uint64_t next = 5;
+  ASSERT_TRUE(log.Scan(5, n, [&](uint64_t index, Slice payload) {
+                   EXPECT_EQ(index, next);
+                   EXPECT_EQ(payload.ToString(), std::to_string(index));
+                   ++next;
+                   return Status::OK();
+                 })
+                  .ok());
+  EXPECT_EQ(next, n);
+  // A visitor's error stops the scan at its record.
+  uint64_t visited = 0;
+  Status s = log.Scan(0, n, [&](uint64_t index, Slice) {
+    ++visited;
+    return index == 300 ? Status::Corruption("stop") : Status::OK();
+  });
+  EXPECT_TRUE(s.IsCorruption());
+  EXPECT_EQ(visited, 301u);
+  // So does the end of the log.
+  visited = 0;
+  EXPECT_TRUE(log.Scan(n - 2, n + 3, [&](uint64_t, Slice) {
+                   ++visited;
+                   return Status::OK();
+                 })
+                  .IsNotFound());
+  EXPECT_EQ(visited, 2u);
+}
+
+// The ReadAt rules: an unsealed record stops the scan with Busy after the
+// records before it; a truncated one with NotFound.
+TEST(StableLogTest, ScanStopsAtUnsealedAndTruncatedRecords) {
+  StableLog log;
+  log.Append("a");
+  log.Append("b");
+  const uint64_t hole = log.Reserve();
+  log.Append("d");
+  std::vector<std::string> seen;
+  auto collect = [&](uint64_t, Slice payload) {
+    seen.push_back(payload.ToString());
+    return Status::OK();
+  };
+  EXPECT_TRUE(log.Scan(0, 4, collect).IsBusy());
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  log.Seal(hole, "c");
+  log.Force();
+  log.TruncatePrefix(1);
+  seen.clear();
+  EXPECT_TRUE(log.Scan(0, 4, collect).IsNotFound());
+  EXPECT_TRUE(seen.empty());
+  ASSERT_TRUE(log.Scan(1, 4, collect).ok());
+  EXPECT_EQ(seen, (std::vector<std::string>{"b", "c", "d"}));
+}
+
+// Truncation racing a scan lands between chunks: each scan either
+// completes or stops with NotFound, and every record it did visit is the
+// one stored under that index.
+TEST(StableLogTest, ScanRacingTruncationSeesOnlyWholeRecords) {
+  StableLog log;
+  constexpr uint64_t kRecords = 20 * StableLog::kScanChunkRecords;
+  for (uint64_t i = 0; i < kRecords; ++i) log.Append(std::to_string(i));
+  log.Force();
+  std::atomic<bool> done{false};
+  std::thread truncator([&] {
+    for (uint64_t cut = 0; cut < kRecords; cut += 97) {
+      log.TruncatePrefix(cut);
+      std::this_thread::yield();
+    }
+    done.store(true);
+  });
+  uint64_t scans = 0;
+  while (!done.load() || scans == 0) {
+    const uint64_t begin = log.truncated_prefix();
+    uint64_t next = begin;
+    Status s = log.Scan(begin, kRecords, [&](uint64_t index, Slice payload) {
+      EXPECT_EQ(index, next++);
+      EXPECT_EQ(payload.ToString(), std::to_string(index));
+      return Status::OK();
+    });
+    EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
+    if (s.ok()) EXPECT_EQ(next, kRecords);
+    ++scans;
+  }
+  truncator.join();
 }
 
 TEST(StableLogTest, ForceToStopsAtIndex) {
