@@ -18,6 +18,16 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
+/// The redo epoch a kRestartEnd may echo after a live redo pass (DC
+/// recovery, escalation) that began under `epoch`: the epoch if the pass
+/// scanned past every record reserved before it began (`reserved_end`),
+/// else 0. A record still unsealed at the scan hides the sealed records
+/// after it, and the DC may have lost those.
+uint64_t SettleEpoch(uint64_t epoch, uint64_t reserved_end,
+                     uint64_t scanned_end) {
+  return scanned_end >= reserved_end ? epoch : 0;
+}
+
 }  // namespace
 
 // ---- RangePartitionConfig ----------------------------------------------------

@@ -17,7 +17,9 @@
 // the per-DC redo index), resets each DC (which evicts exactly the pages
 // reflecting lost operations), replays redo by resending logged
 // operations from the RSSP in per-DC LSN order — one concurrent stream
-// per DC — then undoes loser transactions logically. A DC crash is
+// per DC, skipping a DC whose reset answers that it lost nothing since
+// the TC's last completed redo pass there — then undoes loser
+// transactions logically. A DC crash is
 // handled by OnDcRestart: redo-resend from the RSSP to that DC, then
 // normal traffic resumes.
 #pragma once
@@ -312,10 +314,10 @@ class TransactionComponent {
   void Crash();
 
   /// TC restart (§5.3.2): reset DCs, redo-resend from RSSP to every DC
-  /// whose reset did not answer redo_intact, undo losers. escalate_out (optional) collects TCs that must also resend due to
-  /// multi-TC page resets (§6.1.2), also when a DC reset fails (e.g. a
-  /// page stayed pinned past its drop deadline); a failed restart may be
-  /// retried.
+  /// whose reset did not answer redo_intact, undo losers. escalate_out
+  /// (optional) collects TCs that must also resend due to multi-TC page
+  /// resets (§6.1.2), also when a DC reset fails (e.g. a page stayed
+  /// pinned past its drop deadline); a failed restart may be retried.
   Status Restart(std::vector<TcId>* escalate_out = nullptr);
 
   /// A DC went down: hold resends and streamed-scan attempts to it until
@@ -595,15 +597,6 @@ class TransactionComponent {
                     uint64_t dc_redo_end = 0,
                     uint64_t* scanned_end = nullptr);
 
-  /// The redo epoch a kRestartEnd may echo after a live redo pass (DC
-  /// recovery, escalation) that began under `epoch`: the epoch if the
-  /// pass scanned past every record reserved before it began
-  /// (`reserved_end`), else 0. A record still unsealed at the scan hides
-  /// the sealed records after it, and the DC may have lost those.
-  static uint64_t SettleEpoch(uint64_t epoch, uint64_t reserved_end,
-                              uint64_t scanned_end) {
-    return scanned_end >= reserved_end ? epoch : 0;
-  }
 
   /// Ships every DC's redo stream on its own worker thread and joins
   /// them; a failing stream does not stop the others. Returns the first

@@ -716,7 +716,8 @@ INSTANTIATE_TEST_SUITE_P(Transports, ConcurrentRedoTest,
 
 /// Direct bindings whose client runs a hook before every recovery batch
 /// it sends (a deterministic fault point inside one DC's redo stream),
-/// and shows every single-op send to an observer.
+/// shows every single-op send to an observer, and loses the requests a
+/// `drop` predicate picks.
 class HookedDirectBinding : public BoundTransport {
  public:
   explicit HookedDirectBinding(DataComponent* target) : client_(target) {}
@@ -728,15 +729,22 @@ class HookedDirectBinding : public BoundTransport {
     using DirectDcClient::DirectDcClient;
     void SendOperation(const OperationRequest& req) override {
       if (on_send) on_send(req);
+      if (drop && drop(req)) return;
       DirectDcClient::SendOperation(req);
     }
     void SendOperationBatch(
         const std::vector<OperationRequest>& reqs) override {
       if (!reqs.empty() && reqs.front().recovery_resend && hook) hook();
-      DirectDcClient::SendOperationBatch(reqs);
+      if (!drop) return DirectDcClient::SendOperationBatch(reqs);
+      std::vector<OperationRequest> kept;
+      for (const auto& req : reqs) {
+        if (!drop(req)) kept.push_back(req);
+      }
+      if (!kept.empty()) DirectDcClient::SendOperationBatch(kept);
     }
     std::function<void()> hook;
     std::function<void(const OperationRequest&)> on_send;
+    std::function<bool(const OperationRequest&)> drop;
   };
   Client client_;
 };
@@ -1111,6 +1119,68 @@ TEST(RestartRedoSkipTest, StaleEpochRestartEndDoesNotSettle) {
   EXPECT_EQ(after.intact[0], before.intact[0]);
   fixture.ExpectModel();
   EXPECT_TRUE(fixture.Settled(0, 0));
+}
+
+// A DC recovery whose redo scan stops at an op still unanswered (its
+// request was lost) cannot vouch for the sealed ops after it: the DC
+// lost them in the crash and the scan did not reach them. The pass
+// settles nothing, so the next TC restart redoes the DC in full and
+// brings the committed update back.
+TEST(RestartRedoSkipTest, DcRecoveryShortOfAnUnsealedOpDoesNotSettle) {
+  ClusterOptions options;
+  options.num_dcs = 1;
+  options.transport = TransportKind::kDirect;
+  TcSpec spec;
+  spec.options.resend_interval_ms = 1000;  // the lost request waits
+  spec.options.control_interval_ms = 5;
+  options.tcs.push_back(spec);
+  auto factory = std::make_shared<HookedDirectFactory>();
+  options.binding_factory = factory;
+  auto cluster = std::move(Cluster::Open(options)).ValueOrDie();
+  TransactionComponent* tc = cluster->tc(0);
+  ASSERT_TRUE(tc->CreateTable(kTable).ok());
+  StatusOr<TxnId> setup = tc->Begin();
+  ASSERT_TRUE(setup.ok());
+  ASSERT_TRUE(tc->Upsert(*setup, kTable, "o", "o0").ok());
+  ASSERT_TRUE(tc->Upsert(*setup, kTable, "p", "p0").ok());
+  ASSERT_TRUE(tc->Commit(*setup).ok());
+  ASSERT_TRUE(cluster->CrashAndRestartTc(0).ok());
+  ASSERT_TRUE(cluster->dc(0)->RedoSettled(tc->id()));
+
+  // Txn B's update of "o" is lost on the way, so its record stays
+  // unsealed; txn C's later update of "p" is applied and sealed.
+  std::atomic<bool> lose{true};
+  factory->clients.at(0)->drop = [&](const OperationRequest& req) {
+    return req.key == "o" && lose.exchange(false);
+  };
+  StatusOr<TxnId> b = tc->Begin();
+  ASSERT_TRUE(b.ok());
+  OpHandle lost = tc->SubmitUpdate(*b, kTable, "o", "o1");
+  ASSERT_TRUE(lost.submitted());
+  StatusOr<TxnId> c = tc->Begin();
+  ASSERT_TRUE(c.ok());
+  ASSERT_TRUE(tc->Update(*c, kTable, "p", "p1").ok());
+  ASSERT_LT(tc->log()->sealed_prefix_end(), tc->log()->total_end());
+  Status committed;
+  std::thread committer([&] { committed = tc->Commit(*c); });
+
+  cluster->CrashDc(0);
+  ASSERT_TRUE(cluster->RecoverDc(0).ok());
+  EXPECT_FALSE(cluster->dc(0)->RedoSettled(tc->id()));
+  committer.join();
+  ASSERT_TRUE(committed.ok()) << committed.ToString();
+  ASSERT_TRUE(tc->Await(&lost).ok());
+  ASSERT_TRUE(tc->Commit(*b).ok());
+
+  const uint64_t skipped = tc->stats().restart_redo_skipped_dcs.load();
+  ASSERT_TRUE(cluster->CrashAndRestartTc(0).ok());
+  EXPECT_EQ(tc->stats().restart_redo_skipped_dcs.load(), skipped);
+  for (const auto& [key, value] :
+       std::map<std::string, std::string>{{"o", "o1"}, {"p", "p1"}}) {
+    std::string got;
+    ASSERT_TRUE(tc->ReadShared(kTable, key, ReadFlavor::kDirty, &got).ok());
+    EXPECT_EQ(got, value) << key;
+  }
 }
 
 // ---- Refused in-place upserts -------------------------------------------------
