@@ -932,10 +932,6 @@ class SkipRedo {
     return c;
   }
 
-  /// Crashes and restarts TC t; the first restart after Open redoes
-  /// every DC, since a fresh DC holds no TC settled.
-  Status CrashAndRestart(int t) { return cluster_->CrashAndRestartTc(t); }
-
   bool Settled(int d, int t) {
     return cluster_->dc(d)->RedoSettled(cluster_->tc(t)->id());
   }
@@ -955,7 +951,7 @@ TEST(RestartRedoSkipTest, RestartWithBothDcsSettledShipsNothing) {
   ASSERT_TRUE(fixture.Write(0, 200, "a").ok());
   EXPECT_FALSE(fixture.Settled(0, 0));
   SkipCounters before = fixture.Counters(0);
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   SkipCounters after = fixture.Counters(0);
   EXPECT_GE(after.resent - before.resent, 200u);
   EXPECT_EQ(after.skipped, before.skipped);
@@ -965,7 +961,7 @@ TEST(RestartRedoSkipTest, RestartWithBothDcsSettledShipsNothing) {
 
   ASSERT_TRUE(fixture.Write(0, 200, "b").ok());
   before = fixture.Counters(0);
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   after = fixture.Counters(0);
   EXPECT_EQ(after.resent, before.resent) << "a settled DC got redo";
   EXPECT_EQ(after.skipped - before.skipped, 2u);
@@ -983,7 +979,7 @@ TEST(RestartRedoSkipTest, DcCrashWhileTcIsDownIsRedoneInFull) {
   SkipRedo fixture;
   ASSERT_TRUE(fixture.Open(1, /*daemons=*/true, /*op_timeout_ms=*/300).ok());
   ASSERT_TRUE(fixture.Write(0, 300, "a").ok());
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   ASSERT_TRUE(fixture.Settled(0, 0));
   ASSERT_TRUE(fixture.Write(0, 300, "b").ok());
 
@@ -1016,14 +1012,14 @@ TEST(RestartRedoSkipTest, ResetThatDropsAPageRedoesOnlyThatDc) {
   SkipRedo fixture;
   ASSERT_TRUE(fixture.Open(1, /*daemons=*/false).ok());
   ASSERT_TRUE(fixture.Write(0, 200, "a").ok());
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   ASSERT_TRUE(fixture.Write(0, 200, "b").ok());
   ASSERT_TRUE(fixture.WriteLost(0, 10).ok());  // row a000010 is on DC 0
 
   Cluster* cluster = fixture.cluster();
   const uint64_t dropped = cluster->dc(0)->stats().pages_reset_dropped.load();
   const SkipCounters before = fixture.Counters(0);
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   const SkipCounters after = fixture.Counters(0);
   EXPECT_GT(cluster->dc(0)->stats().pages_reset_dropped.load(), dropped);
   EXPECT_EQ(after.skipped - before.skipped, 1u);
@@ -1043,8 +1039,8 @@ TEST(RestartRedoSkipTest, EscalationVictimIsUnsettledUntilItsResendCompletes) {
   // Four short rows each on DC 0 (even keys): one leaf holds all eight.
   ASSERT_TRUE(fixture.Write(0, 4, "a", /*stride=*/2).ok());
   ASSERT_TRUE(fixture.Write(1, 4, "b", /*stride=*/2).ok());
-  ASSERT_TRUE(fixture.CrashAndRestart(1).ok());
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(1).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   ASSERT_TRUE(fixture.Settled(0, 0));
   ASSERT_TRUE(fixture.Settled(0, 1));
 
@@ -1069,7 +1065,7 @@ TEST(RestartRedoSkipTest, EscalationVictimIsUnsettledUntilItsResendCompletes) {
   fixture.ExpectModel();
 
   const SkipCounters b_before = fixture.Counters(1);
-  ASSERT_TRUE(fixture.CrashAndRestart(1).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(1).ok());
   const SkipCounters b_after = fixture.Counters(1);
   EXPECT_EQ(b_after.skipped - b_before.skipped, 2u);
   EXPECT_EQ(b_after.resent, b_before.resent);
@@ -1082,7 +1078,7 @@ TEST(RestartRedoSkipTest, StaleEpochRestartEndDoesNotSettle) {
   SkipRedo fixture;
   ASSERT_TRUE(fixture.Open(1, /*daemons=*/false).ok());
   ASSERT_TRUE(fixture.Write(0, 200, "a").ok());
-  ASSERT_TRUE(fixture.CrashAndRestart(0).ok());
+  ASSERT_TRUE(fixture.cluster()->CrashAndRestartTc(0).ok());
   Cluster* cluster = fixture.cluster();
   TransactionComponent* tc = cluster->tc(0);
   DataComponent* dc = cluster->dc(0);

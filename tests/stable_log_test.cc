@@ -166,7 +166,9 @@ TEST(StableLogTest, ScanRacingTruncationSeesOnlyWholeRecords) {
       return Status::OK();
     });
     EXPECT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
-    if (s.ok()) EXPECT_EQ(next, kRecords);
+    if (s.ok()) {
+      EXPECT_EQ(next, kRecords);
+    }
     ++scans;
   }
   truncator.join();
